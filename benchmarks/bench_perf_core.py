@@ -4,8 +4,12 @@
 Unlike the ``bench_fig*.py`` figure reproductions (pytest-benchmark), this is
 a plain script: it builds a PlanetLab-style subgraph-query workload, runs the
 full ECF enumeration (filter build + exhaustive search) under both engines,
-verifies the mapping streams are byte-identical, and writes the timings as
-machine-readable ``BENCH_core.json`` via :mod:`repro.analysis.perf`.
+verifies the mapping streams and every search counter are byte-identical,
+checks seeded RWB streams against the recursive ``ReferenceRWB`` walk, and
+writes the timings and parity verdicts as machine-readable
+``BENCH_core.json`` via :mod:`repro.analysis.perf`.  The parity flags
+(``parity.*``, ``rwb.streams_identical``) are exact-gated by
+``compare_bench.py`` — an engine that is fast but wrong fails the gate.
 
 Usage::
 
@@ -40,9 +44,9 @@ from repro.analysis.perf import (
     speedup,
     write_bench_json,
 )
-from repro.api import SearchRequest
-from repro.core import ECF, clear_hosting_compile
-from repro.core.reference import ReferenceECF
+from repro.api import Budget, SearchRequest
+from repro.core import ECF, RWB, clear_hosting_compile
+from repro.core.reference import ReferenceECF, ReferenceRWB
 from repro.utils.rng import as_rng
 from repro.workloads import SUITES, Workload, build_subgraph_suite, planetlab_host
 from repro.workloads.suites import SuiteScale
@@ -65,12 +69,17 @@ SCALES: Dict[str, Tuple[SuiteScale, float]] = {
 }
 
 
+#: RWB stream check: one seeded single-result run per workload.
+RWB_SEED = 0xC0FFEE
+
+
 @dataclass
 class EngineRun:
-    """One engine's results plus the mapping streams for the parity check."""
+    """One engine's results plus the observables for the parity check."""
 
     sample: PerfSample
-    streams: List[List[dict]]
+    streams: List[List[Tuple]]
+    counters: List[Tuple[int, int, int, int]]
 
 
 def build_workload(scale_name: str, seed: int):
@@ -92,7 +101,8 @@ def run_engine(name: str, factory, hosting, workloads: Sequence[Workload],
     amortisation is measured by ``bench_plan_cache.py`` instead.
     """
     results = []
-    streams: List[List[dict]] = []
+    streams: List[List[Tuple]] = []
+    counters: List[Tuple[int, int, int, int]] = []
     for workload in workloads:
         clear_hosting_compile(hosting)
         algorithm = factory()
@@ -100,18 +110,43 @@ def run_engine(name: str, factory, hosting, workloads: Sequence[Workload],
             workload.query, hosting, constraint=workload.constraint,
             timeout=timeout))
         results.append(result)
-        streams.append([m.assignment for m in result.mappings])
+        streams.append([tuple(m.as_dict().items()) for m in result.mappings])
+        counters.append((result.stats.nodes_expanded,
+                         result.stats.candidates_considered,
+                         result.stats.backtracks,
+                         result.stats.constraint_evaluations))
     return EngineRun(sample=PerfSample.from_results(name, results),
-                     streams=streams)
+                     streams=streams, counters=counters)
+
+
+def run_rwb(factory, hosting, workloads: Sequence[Workload],
+            timeout: Optional[float]) -> List[List[Tuple]]:
+    """Seeded single-result RWB streams, one per workload."""
+    streams = []
+    for i, workload in enumerate(workloads):
+        clear_hosting_compile(hosting)
+        result = factory().prepare(SearchRequest.build(
+            workload.query, hosting, constraint=workload.constraint,
+            budget=Budget(timeout=timeout, max_results=1),
+        )).execute(rng=RWB_SEED + i)
+        streams.append([tuple(m.as_dict().items()) for m in result.mappings])
+    return streams
 
 
 def check_parity(reference: EngineRun, candidate: EngineRun) -> None:
-    """The two engines must produce identical mapping streams, in order."""
+    """The two engines must produce identical mapping streams (key order
+    included) and identical search counters, workload by workload."""
     for i, (ref, cand) in enumerate(zip(reference.streams, candidate.streams)):
         if ref != cand:
             raise AssertionError(
                 f"mapping stream diverged on workload #{i}: "
                 f"reference found {len(ref)}, bitset found {len(cand)}")
+    for i, (ref, cand) in enumerate(zip(reference.counters,
+                                        candidate.counters)):
+        if ref != cand:
+            raise AssertionError(
+                f"search counters diverged on workload #{i}: "
+                f"reference {ref}, bitset {cand}")
 
 
 def format_sample(sample: PerfSample) -> str:
@@ -148,6 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     samples: List[PerfSample] = []
     comparison = None
+    parity = None
 
     candidate = run_engine("ECF", ECF, hosting, workloads, args.timeout)
     print(format_sample(candidate.sample))
@@ -157,7 +193,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                workloads, args.timeout)
         print(format_sample(reference.sample))
         check_parity(reference, candidate)
-        print("parity: mapping streams identical across all queries")
+        print("parity: ECF mapping streams and counters identical "
+              "across all queries")
+        rwb_streams = run_rwb(RWB, hosting, workloads, args.timeout)
+        if rwb_streams != run_rwb(ReferenceRWB, hosting, workloads,
+                                  args.timeout):
+            raise AssertionError("seeded RWB streams diverged from "
+                                 "ReferenceRWB")
+        print("parity: seeded RWB streams identical")
+        parity = {
+            "parity": {"streams_identical": True,
+                       "counters_identical": True},
+            "rwb": {"streams_identical": True, "seed": RWB_SEED,
+                    "queries": len(rwb_streams)},
+        }
         comparison = speedup(reference.sample, candidate.sample)
         print(f"speedup: total {comparison['speedup_total']:.2f}x "
               f"(filters {comparison['speedup_filter_build']:.2f}x, "
@@ -181,6 +230,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         },
         comparison=comparison,
     )
+    if parity is not None:
+        report.update(parity)
     path = write_bench_json(args.output, report)
     print(f"wrote {path}")
     return 0

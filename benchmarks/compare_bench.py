@@ -84,23 +84,20 @@ TRACKED: Dict[str, List[Metric]] = {
     "BENCH_core.json": [
         Metric("comparison.speedup_total", tolerance=0.40),
         Metric("comparison.speedup_filter_build", tolerance=0.40),
-        # Both engines enumerate the same complete stream; any drift in the
-        # count is a correctness regression, not noise.
-        Metric("engines.0.mappings_found", kind="exact"),
-        Metric("engines.1.mappings_found", kind="exact"),
-    ],
-    "BENCH_kernel.json": [
-        # Byte-identity is the kernel's whole contract: a fast-but-wrong
-        # backend must fail the gate, not just review.
-        Metric("parity.streams_identical", kind="exact"),
-        Metric("parity.counters_identical", kind="exact"),
-        Metric("rwb.streams_identical", kind="exact"),
-        Metric("engines.0.mappings_found", kind="exact"),
-        Metric("engines.1.mappings_found", kind="exact"),
         # Search time at smoke scale is milliseconds, so the ratio gate is
         # deliberately loose — it exists to catch order-of-magnitude
         # kernel regressions, not scheduler jitter.
         Metric("comparison.speedup_search", tolerance=0.60),
+        # Both engines enumerate the same complete stream; any drift in the
+        # count is a correctness regression, not noise.
+        Metric("engines.0.mappings_found", kind="exact"),
+        Metric("engines.1.mappings_found", kind="exact"),
+        # Byte-identity with the reference oracles is the kernel's whole
+        # contract: a fast-but-wrong engine must fail the gate, not just
+        # review.
+        Metric("parity.streams_identical", kind="exact"),
+        Metric("parity.counters_identical", kind="exact"),
+        Metric("rwb.streams_identical", kind="exact"),
     ],
     "BENCH_plan.json": [
         Metric("comparison.speedup_amortized_wall", tolerance=0.50),

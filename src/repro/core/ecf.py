@@ -16,11 +16,12 @@ ECF finds *every* feasible embedding.  It works in two stages:
 
 The search runs on the bitmask candidate engine: candidate sets are integer
 masks over the dense hosting-node index, intersected with ``&`` and pruned of
-consumed hosts with ``& ~used_mask``, and the depth-first expansion is an
-explicit-stack loop (one Python frame total) instead of one interpreter frame
-per query node.  Candidates are tried in ascending bit order, which is the
-``sorted(key=str)`` order of the original set-based engine, so the mapping
-stream is unchanged.
+consumed hosts with ``& ~used_mask``, and the depth-first expansion is the
+explicit-stack loop of :mod:`repro.core.kernel` (one Python frame total)
+instead of one interpreter frame per query node.  Candidates are tried in
+ascending bit order, which is the ``sorted(key=str)`` order of the recursive
+set-based oracle (:class:`repro.core.reference.ReferenceECF`), so the two
+mapping streams are identical.
 
 Because the search only prunes branches that provably contain no feasible
 completion, ECF is complete (it finds every embedding, given enough time) and
@@ -228,120 +229,10 @@ class ECF(EmbeddingAlgorithm):
                 assignment: Optional[Dict[NodeId, NodeId]] = None,
                 used_mask: int = 0,
                 start_mask: Optional[int] = None) -> bool:
-        """Depth-first expansion over bitmask candidates.
-
-        Dispatches to the compiled/chunked search kernel when one is active
-        (``REPRO_KERNEL``, see :mod:`repro.core.kernel`) — the kernel
-        reproduces this loop's mapping stream and evaluation counters
-        byte-identically — and otherwise runs the legacy explicit-stack
-        loop below, which remains the parity reference.
-        """
-        plan = kernel.plan_for(filters, order, prior)
-        if plan is not None:
-            return kernel.ecf_search(context, plan, start_depth=start_depth,
-                                     assignment=assignment,
-                                     used_mask=used_mask,
-                                     start_mask=start_mask)
-        return self._search_legacy(context, filters, order, prior,
-                                   start_depth, assignment, used_mask,
-                                   start_mask)
-
-    def _search_legacy(self, context: SearchContext, filters: FilterMatrices,
-                       order: List[NodeId],
-                       prior: Sequence[Tuple[NodeId, ...]],
-                       start_depth: int = 0,
-                       assignment: Optional[Dict[NodeId, NodeId]] = None,
-                       used_mask: int = 0,
-                       start_mask: Optional[int] = None) -> bool:
-        """Explicit-stack depth-first expansion over bitmask candidates.
-
-        Returns ``False`` iff the search stopped early (result cap).  Per
-        depth the loop keeps the not-yet-tried candidate mask and the bit of
-        the host currently placed there; taking the lowest set bit first
-        reproduces the canonical ``sorted(key=str)`` trial order.
-
-        A shard of the parallel engine resumes the search below an
-        assignment prefix: *start_depth* / *assignment* / *used_mask*
-        describe the prefix and *start_mask* is its precomputed (and
-        already-counted, by :meth:`_shard_specs`) candidate mask for
-        ``order[start_depth]``; backtracking bottoms out at the prefix
-        instead of the root.
-        """
-        indexer = filters.host_indexer
-        node_at = indexer.node_at
-        match_masks = filters.match_masks
-        node_masks = filters.node_candidate_masks
-        stats = context.stats
-        check_deadline = context.check_deadline
-        record_mapping = context.record_mapping
-
-        n = len(order)
-        if assignment is None:
-            assignment = {}
-        remaining = [0] * n    # untried candidate bits per depth
-        placed_bit = [0] * n   # bit of the host currently placed per depth
-
-        def candidates_mask(depth: int) -> int:
-            # Expression (2) over the neighbours placed at earlier depths
-            # (expression (1) when there are none), minus used hosts.
-            neighbors = prior[depth]
-            if not neighbors:
-                mask = node_masks.get(order[depth], 0)
-            else:
-                node = order[depth]
-                mask = -1
-                for neighbor in neighbors:
-                    mask &= match_masks.get((neighbor, assignment[neighbor], node), 0)
-                    if not mask:
-                        return 0
-            return mask & ~used_mask
-
-        if start_mask is None:
-            mask = candidates_mask(start_depth)
-            stats.nodes_expanded += 1
-            stats.candidates_considered += mask.bit_count()
-            if not mask:
-                stats.backtracks += 1
-                return True
-        else:
-            mask = start_mask   # expansion already counted by _shard_specs
-            if not mask:        # defensive: the split never emits empty masks
-                return True
-        remaining[start_depth] = mask
-
-        depth = start_depth
-        while depth >= start_depth:
-            check_deadline()
-            mask = remaining[depth]
-            if not mask:
-                # Depth exhausted: undo its placement (if any) and backtrack.
-                bit = placed_bit[depth]
-                if bit:
-                    used_mask ^= bit
-                    del assignment[order[depth]]
-                    placed_bit[depth] = 0
-                depth -= 1
-                continue
-            low = mask & -mask
-            remaining[depth] = mask ^ low
-            prev = placed_bit[depth]
-            if prev:
-                used_mask ^= prev
-            placed_bit[depth] = low
-            used_mask |= low
-            assignment[order[depth]] = node_at(low.bit_length() - 1)
-            if depth + 1 == n:
-                # A full-depth leaf is a feasible embedding (Fig. 4: "report
-                # mapping defined by branch from node to root").
-                if record_mapping(dict(assignment)):
-                    return False
-                continue
-            depth += 1
-            child = candidates_mask(depth)
-            stats.nodes_expanded += 1
-            stats.candidates_considered += child.bit_count()
-            remaining[depth] = child
-            placed_bit[depth] = 0
-            if not child:
-                stats.backtracks += 1
-        return True
+        """Depth-first expansion over bitmask candidates (see
+        :func:`repro.core.kernel.ecf_search`); ``False`` iff the search
+        stopped early on the result cap."""
+        return kernel.ecf_search(context, kernel.plan_for(filters, order, prior),
+                                 start_depth=start_depth,
+                                 assignment=assignment, used_mask=used_mask,
+                                 start_mask=start_mask)

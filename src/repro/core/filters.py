@@ -52,48 +52,6 @@ from repro.utils.timing import Stopwatch
 FilterKey = Tuple[NodeId, NodeId, NodeId]
 
 
-class FilterWords:
-    """Fixed-width ``uint64`` word backing of one filter snapshot.
-
-    Four :class:`~repro.core.words.WordTable` twins of the mask dicts —
-    match / non-match / node-candidate / node-screening — all over the same
-    dense host index.  Built lazily by :meth:`FilterMatrices.words` (the
-    dict-of-int representation stays authoritative in process); consumed by
-    the compiled search kernel and by pickling, which ships these contiguous
-    arrays instead of re-serialising thousands of bignums.
-    """
-
-    __slots__ = ("num_bits", "match", "non_match", "node_candidates",
-                 "node_allowed")
-
-    def __init__(self, filters: "FilterMatrices") -> None:
-        num_bits = len(filters.host_indexer)
-        self.num_bits = num_bits
-        self.match = WordTable.from_masks(filters.match_masks, num_bits)
-        self.non_match = WordTable.from_masks(filters.non_match_masks, num_bits)
-        self.node_candidates = WordTable.from_masks(
-            filters.node_candidate_masks, num_bits)
-        self.node_allowed = WordTable.from_masks(
-            filters.node_allowed_masks, num_bits)
-
-    def patched(self, filters: "FilterMatrices",
-                touched: Set[FilterKey]) -> "FilterWords":
-        """Word backing for a patched snapshot: cell tables update only the
-        *touched* rows in place (on a private copy); the small per-node
-        tables rebuild.  Falls back to full rebuilds when a patch changed a
-        table's key set (see :meth:`WordTable.updated`)."""
-        words = FilterWords.__new__(FilterWords)
-        words.num_bits = self.num_bits
-        words.match = self.match.updated(filters.match_masks, touched)
-        words.non_match = self.non_match.updated(filters.non_match_masks,
-                                                 touched)
-        words.node_candidates = WordTable.from_masks(
-            filters.node_candidate_masks, self.num_bits)
-        words.node_allowed = WordTable.from_masks(
-            filters.node_allowed_masks, self.num_bits)
-        return words
-
-
 #: The four mask dicts that travel as word tables across pickle boundaries.
 _WORD_STATE_FIELDS = ("match_masks", "non_match_masks",
                       "node_candidate_masks", "node_allowed_masks")
@@ -131,72 +89,30 @@ class FilterMatrices:
     #: hosting-arc rows they re-evaluated in total (0 = built from scratch).
     patches: int = 0
     patched_rows: int = 0
-    #: Lazy :class:`FilterWords` twin of the mask dicts; built on first
-    #: kernel or pickle use, never part of equality or the constructor.
-    _words_cache: Optional[FilterWords] = field(default=None, init=False,
-                                                repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
-    # Fixed-width word backing (kernel + pickle representation)
+    # Pickling: mask dicts travel as fixed-width word tables
     # ------------------------------------------------------------------ #
-
-    def words(self) -> FilterWords:
-        """The word-array backing of this snapshot, built once on demand.
-
-        The dict-of-int masks stay the in-process representation behind the
-        accessor API; the word arrays are what the compiled kernel iterates
-        and what pickling ships.  Snapshots are immutable by convention
-        (patches produce new instances), so the cache never goes stale —
-        call :meth:`invalidate_words` after any in-place surgery in tests.
-        """
-        words = self._words_cache
-        if words is None:
-            words = FilterWords(self)
-            self._words_cache = words
-        return words
-
-    def invalidate_words(self) -> None:
-        """Drop the cached word backing (and any derived kernel plan)."""
-        self._words_cache = None
-        self.__dict__.pop("_kernel_plan", None)
 
     def __getstate__(self):
-        """Pickle the mask dicts as word tables (compact, fixed-width) and
-        never ship derived caches: the kernel plan stays behind, and each
-        :class:`~repro.core.words.WordTable` pickles a private copy of its
-        array, so no payload aliases this object's buffers."""
+        """Pack the mask dicts into word tables on the fly (compact,
+        fixed-width) and never ship the derived kernel plan.  Each
+        :class:`~repro.core.words.WordTable` pickles a private array, so no
+        payload aliases this object's buffers."""
         state = dict(self.__dict__)
         state.pop("_kernel_plan", None)
-        words = state.pop("_words_cache", None)
         if HAVE_NUMPY:
-            if words is None:
-                words = self.words()
-            state["match_masks"] = words.match
-            state["non_match_masks"] = words.non_match
-            state["node_candidate_masks"] = words.node_candidates
-            state["node_allowed_masks"] = words.node_allowed
+            num_bits = len(self.host_indexer)
+            for name in _WORD_STATE_FIELDS:
+                state[name] = WordTable.from_masks(state[name], num_bits)
         return state
 
     def __setstate__(self, state) -> None:
-        tables = {}
         for name in _WORD_STATE_FIELDS:
             value = state.get(name)
             if isinstance(value, WordTable):
-                tables[name] = value
                 state[name] = value.to_masks()
         self.__dict__.update(state)
-        self._words_cache = None
-        if len(tables) == len(_WORD_STATE_FIELDS):
-            # The receiving side starts with the shipped tables pre-cached,
-            # so a worker going straight into the numba kernel reconverts
-            # nothing.
-            words = FilterWords.__new__(FilterWords)
-            words.num_bits = tables["match_masks"].num_bits
-            words.match = tables["match_masks"]
-            words.non_match = tables["non_match_masks"]
-            words.node_candidates = tables["node_candidate_masks"]
-            words.node_allowed = tables["node_allowed_masks"]
-            self._words_cache = words
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -1180,17 +1096,11 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
         qa, qb = sorted((q_source, q_target), key=str)
         pair_edges.setdefault((qa, qb), []).append((q_source, q_target))
 
-    #: Cell keys any verdict wrote; the word-backing patch below rewrites
-    #: exactly these rows instead of re-encoding the whole tables.
-    touched_keys: Set[FilterKey] = set()
-
     def apply_verdict(qa: NodeId, qb: NodeId, row: Tuple, matched) -> None:
         """Fix the four cell bits one row contributes to one pair."""
         ra, rb, bit_a, bit_b = row[0], row[1], row[2], row[3]
         key_ab = (qa, ra, qb)
         key_ba = (qb, rb, qa)
-        touched_keys.add(key_ab)
-        touched_keys.add(key_ba)
         if matched:
             _set_cell_bit(match_masks, key_ab, bit_b)
             _set_cell_bit(match_masks, key_ba, bit_a)
@@ -1265,14 +1175,6 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
     node_masks = patched.node_candidate_masks
     for node in query.nodes():
         node_masks[node] = derived.get(node, 0) or allowed_masks.get(node, 0)
-
-    # Word-backing carry-over: when the base snapshot already materialised
-    # its word arrays, patch them row-wise (copy-on-write) instead of
-    # leaving the patched snapshot to re-encode every cell on first kernel
-    # or pickle use.
-    base_words = filters._words_cache
-    if base_words is not None and HAVE_NUMPY:
-        patched._words_cache = base_words.patched(patched, touched_keys)
 
     patched.constraint_evaluations += evaluations
     patched.build_seconds += stopwatch.stop()

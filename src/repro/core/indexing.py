@@ -23,19 +23,6 @@ from typing import Hashable, Iterable, Iterator, List, Set, Tuple
 
 NodeId = Hashable
 
-#: Fixed mask-word width of the compiled search kernel.  Unbounded Python
-#: ints remain the in-process representation (arbitrary-precision ``&``/``|``
-#: keep the accessor API unchanged), but across process boundaries and inside
-#: the kernel the same masks travel as little-endian arrays of this many bits
-#: per word (see :mod:`repro.core.words`).
-WORD_BITS = 64
-
-
-def word_count(num_bits: int) -> int:
-    """How many fixed-width words cover *num_bits* mask bits (at least one,
-    so degenerate empty indexes still yield well-formed word arrays)."""
-    return max(1, (num_bits + WORD_BITS - 1) // WORD_BITS)
-
 
 class NodeIndexer:
     """A stable, dense mapping from node ids to contiguous bit positions.

@@ -1,197 +1,40 @@
-"""Compiled search kernel for the ECF/RWB inner loops.
+"""The ECF/RWB search kernel: an explicit-stack loop over precomputed rows.
 
-PR 2's bitset engine still walks the ECF stack in pure Python and does its
-candidate algebra on unbounded ints — search only got ~2x where filter
-construction got ~29x.  This module moves the explicit-stack inner loops
-behind a backend switch:
+A :class:`KernelPlan` turns one ``(filters, order, prior)`` triple into
+dense row tables — for every depth and placed neighbour, host index to
+filter row — so the inner loop is list indexing and ``int`` algebra with no
+per-expansion filter-key hashing.  It is the one search engine behind
+:class:`~repro.core.ecf.ECF` and :class:`~repro.core.rwb.RWB`; the recursive
+set-semantics engines in :mod:`repro.core.reference` are the oracle it is
+tested against.
 
-* ``python`` — a chunked pure-Python driver over the same int masks, but
-  with the per-expansion dict/attribute traffic of the legacy loop hoisted
-  into precomputed row tables (a :class:`KernelPlan`).  Always available.
-* ``numba`` — the same algorithm transliterated to ``numba.njit`` over
-  fixed-width ``uint64`` word arrays (:mod:`repro.core.words`), compiled
-  ``nogil`` so thread-based shards can actually scale.  Selected only when
-  numba imports *and* passes a tiny compile-and-verify self-test; otherwise
-  the python backend takes over with a warning.
-* ``legacy`` — disable the kernel entirely; callers fall back to the PR 2
-  loops.  This is the reference the parity gates compare against.
-
-Selection happens once at import from ``REPRO_KERNEL`` (``auto`` | ``python``
-| ``numba`` | ``legacy``; default ``auto`` = numba when available, else
-python) and can be overridden programmatically via :func:`set_backend` /
-:func:`forced`.
-
-**Byte-identity contract.**  Whatever the backend, the mapping stream and
-the evaluation counters (``nodes_expanded`` / ``candidates_considered`` /
-``backtracks``) are identical to the legacy loops: candidates are tried
-lowest-bit-first (the canonical ``sorted(key=str)`` order), expansions are
-counted before the emptiness test, and a result cap pauses the kernel at
-exactly the capping leaf.  The one sanctioned divergence is deadline
-granularity: the legacy loop polls the deadline every node, the kernel polls
-between chunks (a few thousand expansions), so a *timed-out* run may stop a
-chunk-width later — never a completed one.
+**Byte-identity contract.**  The mapping stream and the evaluation counters
+(``nodes_expanded`` / ``candidates_considered`` / ``backtracks``) are
+identical to the reference engines: candidates are tried lowest-bit-first
+(the canonical ``sorted(key=str)`` order), expansions are counted before
+the emptiness test, and a result cap stops the loop at exactly the capping
+leaf.  The one sanctioned divergence is deadline granularity: the loop
+polls the deadline on entry and then every :data:`CHUNK_STEPS` expansions,
+so a *timed-out* run may stop a few thousand expansions later than a
+per-node poll would — a completed run never differs.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
-
-from repro.constraints.vectorizer import HAVE_NUMPY, np
-from repro.core.indexing import word_count
-from repro.core.words import mask_to_words, pack_masks
+from typing import List, Optional, Sequence
 
 __all__ = [
-    "active_backend",
-    "set_backend",
-    "forced",
-    "require_backend",
-    "describe",
-    "plan_for",
-    "ecf_search",
-    "RwbCursor",
+    "CHUNK_STEPS",
     "KernelPlan",
-    "HAVE_NUMBA",
+    "plan_for",
+    "candidates_int",
+    "ecf_search",
 ]
 
-#: Expansions per kernel chunk before control returns to Python for the
-#: deadline/cancellation poll.  Small enough that a cancel lands within
-#: milliseconds, large enough that the poll is invisible in profiles.
+#: Expansions between deadline/cancellation polls.  Small enough that a
+#: cancel lands within milliseconds, large enough that the poll is
+#: invisible in profiles.
 CHUNK_STEPS = 2048
-#: Leaf buffer per chunk; full-enumeration workloads flush mappings to the
-#: context in batches of this size (in discovery order).
-CHUNK_LEAVES = 256
-
-_DONE = 0
-_PAUSED = 1
-
-_ENV_VAR = "REPRO_KERNEL"
-_VALID = ("auto", "python", "numba", "legacy")
-
-_BACKEND = "python"
-_NUMBA: Optional[dict] = None
-_NUMBA_LOAD_TRIED = False
-_LOCK = threading.Lock()
-
-
-# ---------------------------------------------------------------------- #
-# Backend selection
-# ---------------------------------------------------------------------- #
-
-def _load_numba() -> Optional[dict]:
-    """Compile (or load from ``NUMBA_CACHE_DIR``) and self-verify the
-    njit kernels.  Returns the callable table, or ``None`` with a warning
-    when numba is missing or the self-test fails."""
-    global _NUMBA, _NUMBA_LOAD_TRIED
-    with _LOCK:
-        if _NUMBA is not None:
-            return _NUMBA
-        if _NUMBA_LOAD_TRIED:
-            return None
-        _NUMBA_LOAD_TRIED = True
-        if not HAVE_NUMPY:
-            return None
-        try:
-            import numba
-        except Exception:
-            return None
-        try:
-            table = _compile_numba(numba)
-            _self_test(table)
-        except Exception as exc:  # pragma: no cover - depends on numba build
-            warnings.warn(
-                f"numba search kernel failed its compile/self-test ({exc!r}); "
-                f"using the pure-python kernel instead", RuntimeWarning,
-                stacklevel=3)
-            return None
-        _NUMBA = table
-        return table
-
-
-def _resolve(name: str) -> str:
-    """Map a requested backend name to the one actually available."""
-    if name == "legacy" or name == "python":
-        return name
-    if name == "numba":
-        if _load_numba() is None:
-            warnings.warn(
-                "REPRO_KERNEL=numba requested but the numba kernel is "
-                "unavailable; falling back to the python kernel",
-                RuntimeWarning, stacklevel=3)
-            return "python"
-        return "numba"
-    # auto: prefer the compiled kernel, silently fall back.
-    return "numba" if _load_numba() is not None else "python"
-
-
-def _init_from_env() -> str:
-    raw = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if raw not in _VALID:
-        warnings.warn(
-            f"unknown {_ENV_VAR}={raw!r} (expected one of {_VALID}); "
-            f"using 'auto'", RuntimeWarning)
-        raw = "auto"
-    return _resolve(raw)
-
-
-def active_backend() -> str:
-    """The backend in use: ``"python"``, ``"numba"`` or ``"legacy"``."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch backends at runtime (tests, benchmarks).  Returns the backend
-    actually selected — asking for ``numba`` without numba yields
-    ``python`` with a warning, mirroring the env-var path.
-
-    The switch is process-global and unsynchronised: searches already in
-    flight on other threads (``REPRO_SHARD_BACKEND=thread`` shards) read
-    the backend per call and would straddle the flip.  Only switch while
-    no search is running."""
-    if name not in _VALID:
-        raise ValueError(f"unknown kernel backend {name!r}; "
-                         f"expected one of {_VALID}")
-    global _BACKEND
-    _BACKEND = _resolve(name)
-    return _BACKEND
-
-
-@contextmanager
-def forced(name: str):
-    """Temporarily pin the backend (``legacy`` runs the PR 2 loops).
-
-    Same caveat as :func:`set_backend`: not safe while searches are in
-    flight on other threads — both the pin and the restore are global."""
-    previous = _BACKEND
-    set_backend(name)
-    try:
-        yield _BACKEND
-    finally:
-        set_backend(previous)
-
-
-def require_backend(name: str) -> None:
-    """Assert the active backend is *name* — CI calls this so a numba job
-    that silently fell back to python fails loudly instead of green-washing
-    the matrix."""
-    if _BACKEND != name:
-        raise RuntimeError(
-            f"kernel backend is {_BACKEND!r}, expected {name!r} "
-            f"(REPRO_KERNEL={os.environ.get(_ENV_VAR, '')!r})")
-
-
-def describe() -> Dict[str, object]:
-    """Diagnostic snapshot (surfaced by ``EmbeddingPlan.describe`` and CI)."""
-    return {
-        "backend": _BACKEND,
-        "numba_available": HAVE_NUMBA,
-        "env": os.environ.get(_ENV_VAR),
-        "chunk_steps": CHUNK_STEPS,
-        "chunk_leaves": CHUNK_LEAVES,
-    }
 
 
 # ---------------------------------------------------------------------- #
@@ -201,31 +44,25 @@ def describe() -> Dict[str, object]:
 class KernelPlan:
     """Precomputed row tables for one ``(filters, order, prior)`` triple.
 
-    The legacy loop pays a tuple-hash dict lookup per (neighbour, host)
-    pair per expansion.  The plan pays them all once: for every depth and
-    every prior neighbour it materialises a dense ``host index -> filter
-    row`` table, so the inner loop is list indexing only.  Rows index into
-    ``masks_int`` (python backend) and into the ``uint64`` word array of
-    ``filters.words().match`` (numba backend) — both enumerate
-    ``match_masks`` in the same order, so row ids agree by construction.
+    For every depth and every prior neighbour the plan materialises a dense
+    ``host index -> filter row`` table once, so the inner loop never hashes
+    a filter key.  Rows index into :attr:`masks_int`, which enumerates
+    ``filters.match_masks`` in dict order.
 
     Plans are derived caches: they are rebuilt on demand and never pickled
-    (shards rebuild from the shipped word arrays in their own process).
+    (shards rebuild them in their own process).
     """
 
-    __slots__ = ("filters", "order", "prior", "indexer", "host_nodes",
-                 "depth_of", "n", "num_hosts", "node_ints", "cell_tables",
-                 "masks_int", "_words")
+    __slots__ = ("order", "prior", "indexer", "host_nodes", "depth_of", "n",
+                 "node_ints", "cell_tables", "masks_int")
 
     def __init__(self, filters, order: Sequence, prior: Sequence) -> None:
-        self.filters = filters
         self.order = tuple(order)
         self.prior = tuple(tuple(p) for p in prior)
         self.indexer = filters.host_indexer
         self.host_nodes = self.indexer.nodes
         self.depth_of = {node: d for d, node in enumerate(self.order)}
         self.n = len(self.order)
-        self.num_hosts = len(self.host_nodes)
         match_masks = filters.match_masks
         row_index = {key: r for r, key in enumerate(match_masks)}
         self.masks_int: List[int] = list(match_masks.values())
@@ -233,59 +70,26 @@ class KernelPlan:
         self.node_ints: List[int] = [node_masks.get(node, 0)
                                      for node in self.order]
         hosts = self.host_nodes
+        get = row_index.get
         tables = []
         for depth, node in enumerate(self.order):
             neighbors = self.prior[depth]
             if not neighbors:
                 tables.append(None)
                 continue
-            slots = []
-            for neighbor in neighbors:
-                get = row_index.get
-                rows = [get((neighbor, host, node), -1) for host in hosts]
-                slots.append((self.depth_of[neighbor], rows))
-            tables.append(tuple(slots))
+            tables.append(tuple(
+                (self.depth_of[neighbor],
+                 [get((neighbor, host, node), -1) for host in hosts])
+                for neighbor in neighbors))
         self.cell_tables = tuple(tables)
-        self._words = None
-
-    def words(self):
-        """The numba-side arrays, built once: ``(match_words, node_words,
-        prior_off, slot_depth, slot_rows, num_words)``."""
-        cached = self._words
-        if cached is None:
-            nw = word_count(self.num_hosts)
-            match_words = self.filters.words().match.words
-            node_words = pack_masks(self.node_ints, nw)
-            offsets = [0]
-            slot_depth: List[int] = []
-            slot_rows: List[List[int]] = []
-            for slots in self.cell_tables:
-                if slots:
-                    for nb_depth, rows in slots:
-                        slot_depth.append(nb_depth)
-                        slot_rows.append(rows)
-                offsets.append(len(slot_depth))
-            width = max(1, self.num_hosts)
-            rows_arr = (np.asarray(slot_rows, dtype=np.int64)
-                        if slot_rows else np.zeros((0, width), dtype=np.int64))
-            cached = (np.ascontiguousarray(match_words, dtype=np.uint64),
-                      node_words,
-                      np.asarray(offsets, dtype=np.int64),
-                      np.asarray(slot_depth, dtype=np.int64),
-                      rows_arr,
-                      nw)
-            self._words = cached
-        return cached
 
 
 _PLAN_ATTR = "_kernel_plan"
 
 
-def plan_for(filters, order: Sequence, prior: Sequence) -> Optional[KernelPlan]:
-    """The cached :class:`KernelPlan` for this triple, or ``None`` when the
-    kernel is disabled (``legacy`` backend) or the plan is degenerate."""
-    if _BACKEND == "legacy" or not order:
-        return None
+def plan_for(filters, order: Sequence, prior: Sequence) -> KernelPlan:
+    """The cached :class:`KernelPlan` for this triple, rebuilt when the
+    order or prior differs from the cached one."""
     plan = getattr(filters, _PLAN_ATTR, None)
     if (plan is None or plan.order != tuple(order)
             or plan.prior != tuple(tuple(p) for p in prior)):
@@ -297,11 +101,7 @@ def plan_for(filters, order: Sequence, prior: Sequence) -> Optional[KernelPlan]:
     return plan
 
 
-# ---------------------------------------------------------------------- #
-# Shared candidate algebra (python ints)
-# ---------------------------------------------------------------------- #
-
-def _candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
+def candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
     """Expression (2)/(1) over the plan's row tables, minus used hosts."""
     slots = plan.cell_tables[depth]
     if slots is None:
@@ -320,115 +120,38 @@ def _candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# ECF: chunked explicit-stack drivers
+# ECF: the explicit-stack depth-first search
 # ---------------------------------------------------------------------- #
-
-def _ecf_chunk_ints(remaining: List[int], placed: List[int],
-                    assign_idx: List[int], depth: int, start_depth: int,
-                    n: int, used: int, node_ints, cell_tables, masks_int,
-                    max_steps: int, leaves: list, max_leaves: int):
-    """One chunk of the explicit-stack DFS on int masks.
-
-    Mirrors ``ECF._search`` exactly — lowest-bit-first trials, expansions
-    counted before the emptiness test, a backtrack counted per freshly
-    empty child — but buffers leaves (as assignment-index rows) instead of
-    recording them inline, and returns after *max_steps* expansions or
-    *max_leaves* leaves so the driver can poll the deadline and flush.
-    """
-    steps = expanded = considered = backtracks = 0
-    last = n - 1
-    while depth >= start_depth:
-        mask = remaining[depth]
-        if not mask:
-            bit = placed[depth]
-            if bit:
-                used ^= bit
-                placed[depth] = 0
-            depth -= 1
-            continue
-        low = mask & -mask
-        remaining[depth] = mask ^ low
-        prev = placed[depth]
-        if prev:
-            used ^= prev
-        placed[depth] = low
-        used |= low
-        assign_idx[depth] = low.bit_length() - 1
-        if depth == last:
-            leaves.append(assign_idx[start_depth:])
-            if len(leaves) >= max_leaves:
-                return _PAUSED, depth, used, expanded, considered, backtracks
-            continue
-        depth += 1
-        slots = cell_tables[depth]
-        if slots is None:
-            child = node_ints[depth] & ~used
-        else:
-            child = -1
-            for nb_depth, rows in slots:
-                row = rows[assign_idx[nb_depth]]
-                if row < 0:
-                    child = 0
-                    break
-                child &= masks_int[row]
-                if not child:
-                    break
-            if child:
-                child &= ~used
-        expanded += 1
-        considered += child.bit_count()
-        remaining[depth] = child
-        placed[depth] = 0
-        if not child:
-            backtracks += 1
-        steps += 1
-        if steps >= max_steps:
-            return _PAUSED, depth, used, expanded, considered, backtracks
-    return _DONE, depth, used, expanded, considered, backtracks
-
-
-def _leaf_budget(context, n_mapped_cap: Optional[int]) -> int:
-    """Leaves the next chunk may buffer: the result cap (minus what is
-    already recorded) bounds it so the kernel pauses at exactly the capping
-    leaf and never explores — or counts — past what the legacy loop would."""
-    if n_mapped_cap is None:
-        return CHUNK_LEAVES
-    return max(1, min(CHUNK_LEAVES, n_mapped_cap - len(context.mappings)))
-
 
 def ecf_search(context, plan: KernelPlan, start_depth: int = 0,
                assignment: Optional[dict] = None, used_mask: int = 0,
                start_mask: Optional[int] = None) -> bool:
-    """Kernel-backed equivalent of ``ECF._search`` (same contract: ``False``
-    iff the search stopped early on the result cap)."""
-    # The legacy loop checks the deadline before its first expansion; an
-    # already-expired budget must surface zero mappings here too, not a
-    # chunk's worth.  Mid-run granularity stays chunk-width (sanctioned).
+    """Depth-first expansion over the plan's bitmask candidates.
+
+    Returns ``False`` iff the search stopped early on the result cap.  Per
+    depth the loop keeps the not-yet-tried candidate mask and the bit of the
+    host currently placed there; taking the lowest set bit first reproduces
+    the canonical ``sorted(key=str)`` trial order.
+
+    A shard of the parallel engine resumes the search below an assignment
+    prefix: *start_depth* / *assignment* / *used_mask* describe the prefix
+    and *start_mask* is its precomputed (and already-counted, by
+    ``ECF._shard_specs``) candidate mask for ``order[start_depth]``;
+    backtracking bottoms out at the prefix instead of the root.
+    """
+    # An already-expired budget surfaces zero mappings, not a chunk's worth.
     context.check_deadline()
-    if _BACKEND == "numba" and _NUMBA is not None:
-        return _ecf_search_words(context, plan, start_depth, assignment,
-                                 used_mask, start_mask)
-    return _ecf_search_ints(context, plan, start_depth, assignment,
-                            used_mask, start_mask)
-
-
-def _prefix_indices(plan: KernelPlan, prefix: dict, assign_idx) -> None:
+    n = plan.n
+    stats = context.stats
+    prefix = dict(assignment) if assignment else {}
+    assign_idx = [-1] * n
     index_of = plan.indexer.index_of
     depth_of = plan.depth_of
     for node, host in prefix.items():
         assign_idx[depth_of[node]] = index_of(host)
 
-
-def _ecf_search_ints(context, plan, start_depth, assignment, used_mask,
-                     start_mask) -> bool:
-    n = plan.n
-    stats = context.stats
-    prefix = dict(assignment) if assignment else {}
-    assign_idx = [-1] * n
-    _prefix_indices(plan, prefix, assign_idx)
-
     if start_mask is None:
-        mask = _candidates_int(plan, start_depth, assign_idx, used_mask)
+        mask = candidates_int(plan, start_depth, assign_idx, used_mask)
         stats.nodes_expanded += 1
         stats.candidates_considered += mask.bit_count()
         if not mask:
@@ -439,413 +162,78 @@ def _ecf_search_ints(context, plan, start_depth, assignment, used_mask,
         if not mask:
             return True
 
-    remaining = [0] * n
-    placed = [0] * n
+    remaining = [0] * n      # untried candidate bits per depth
+    placed = [0] * n         # bit of the host currently placed per depth
     remaining[start_depth] = mask
     depth = start_depth
     used = used_mask
-    order = plan.order
+    last = n - 1
+    tail = plan.order[start_depth:]
     host_nodes = plan.host_nodes
-    cap = context.max_results
+    node_ints = plan.node_ints
+    cell_tables = plan.cell_tables
+    masks_int = plan.masks_int
     record_mapping = context.record_mapping
-
-    while True:
-        leaves: list = []
-        status, depth, used, expanded, considered, backtracks = \
-            _ecf_chunk_ints(remaining, placed, assign_idx, depth, start_depth,
-                            n, used, plan.node_ints, plan.cell_tables,
-                            plan.masks_int, CHUNK_STEPS, leaves,
-                            _leaf_budget(context, cap))
+    check_deadline = context.check_deadline
+    expanded = considered = backtracks = 0
+    poll_at = CHUNK_STEPS
+    try:
+        while depth >= start_depth:
+            mask = remaining[depth]
+            if not mask:
+                # Depth exhausted: undo its placement (if any) and backtrack.
+                bit = placed[depth]
+                if bit:
+                    used ^= bit
+                    placed[depth] = 0
+                depth -= 1
+                continue
+            low = mask & -mask
+            remaining[depth] = mask ^ low
+            prev = placed[depth]
+            if prev:
+                used ^= prev
+            placed[depth] = low
+            used |= low
+            assign_idx[depth] = low.bit_length() - 1
+            if depth == last:
+                # A full-depth leaf is a feasible embedding (Fig. 4: "report
+                # mapping defined by branch from node to root").
+                mapping = dict(prefix)
+                mapping.update(zip(tail, [host_nodes[i]
+                                          for i in assign_idx[start_depth:]]))
+                if record_mapping(mapping):
+                    return False
+                continue
+            depth += 1
+            slots = cell_tables[depth]
+            if slots is None:
+                child = node_ints[depth] & ~used
+            else:
+                child = -1
+                for nb_depth, rows in slots:
+                    row = rows[assign_idx[nb_depth]]
+                    if row < 0:
+                        child = 0
+                        break
+                    child &= masks_int[row]
+                    if not child:
+                        break
+                if child:
+                    child &= ~used
+            expanded += 1
+            considered += child.bit_count()
+            remaining[depth] = child
+            placed[depth] = 0
+            if not child:
+                backtracks += 1
+            if expanded == poll_at:
+                poll_at += CHUNK_STEPS
+                check_deadline()
+        return True
+    finally:
+        # Flushed on every exit — completion, cap, deadline or cancel — so
+        # an interrupted run still reports the work it did.
         stats.nodes_expanded += expanded
         stats.candidates_considered += considered
         stats.backtracks += backtracks
-        for row in leaves:
-            mapping = dict(prefix)
-            for d in range(start_depth, n):
-                mapping[order[d]] = host_nodes[row[d - start_depth]]
-            if record_mapping(mapping):
-                return False
-        if status == _DONE:
-            return True
-        context.check_deadline()
-
-
-def _ecf_search_words(context, plan, start_depth, assignment, used_mask,
-                      start_mask) -> bool:
-    kernels = _NUMBA
-    match_words, node_words, prior_off, slot_depth, slot_rows, nw = plan.words()
-    n = plan.n
-    stats = context.stats
-    prefix = dict(assignment) if assignment else {}
-    assign_idx = np.full(n, -1, dtype=np.int64)
-    _prefix_indices(plan, prefix, assign_idx)
-
-    if start_mask is None:
-        mask = _candidates_int(plan, start_depth, assign_idx, used_mask)
-        stats.nodes_expanded += 1
-        stats.candidates_considered += mask.bit_count()
-        if not mask:
-            stats.backtracks += 1
-            return True
-    else:
-        mask = start_mask
-        if not mask:
-            return True
-
-    remaining = np.zeros((n, nw), dtype=np.uint64)
-    remaining[start_depth] = mask_to_words(mask, nw)
-    placed_idx = np.full(n, -1, dtype=np.int64)
-    used = mask_to_words(used_mask, nw)
-    out = np.zeros(5, dtype=np.int64)
-    depth = start_depth
-    order = plan.order
-    host_nodes = plan.host_nodes
-    cap = context.max_results
-    record_mapping = context.record_mapping
-    ecf_chunk = kernels["ecf"]
-
-    while True:
-        max_leaves = _leaf_budget(context, cap)
-        leaves = np.empty((max_leaves, n), dtype=np.int64)
-        status = ecf_chunk(remaining, placed_idx, assign_idx, used,
-                           node_words, prior_off, slot_depth, slot_rows,
-                           match_words, depth, start_depth, n, nw,
-                           CHUNK_STEPS, leaves, max_leaves, out)
-        depth = int(out[0])
-        stats.nodes_expanded += int(out[1])
-        stats.candidates_considered += int(out[2])
-        stats.backtracks += int(out[3])
-        for i in range(int(out[4])):
-            mapping = dict(prefix)
-            for d in range(start_depth, n):
-                mapping[order[d]] = host_nodes[int(leaves[i, d])]
-            if record_mapping(mapping):
-                return False
-        if status == _DONE:
-            return True
-        context.check_deadline()
-
-
-# ---------------------------------------------------------------------- #
-# RWB: kernel-backed candidate cursor
-# ---------------------------------------------------------------------- #
-
-class RwbCursor:
-    """Incremental candidate algebra for the randomised walk.
-
-    RWB's *control* loop (shuffles, placements) must stay in Python — its
-    stream identity is pinned to ``random.Random`` — but its candidate-set
-    computation is the same expression-(2) chain as ECF and runs on the
-    kernel tables here.  ``candidates(depth)`` returns host *indices* in
-    ascending order, which is exactly the decode order the legacy walk
-    shuffles, so the seeded permutations coincide.
-    """
-
-    __slots__ = ("_plan", "_numba", "_used", "_assign", "_scratch", "_out")
-
-    def __init__(self, plan: KernelPlan) -> None:
-        self._plan = plan
-        self._numba = _BACKEND == "numba" and _NUMBA is not None
-        if self._numba:
-            _, _, _, _, _, nw = plan.words()
-            self._used = np.zeros(nw, dtype=np.uint64)
-            self._assign = np.full(plan.n, -1, dtype=np.int64)
-            self._scratch = np.zeros(nw, dtype=np.uint64)
-            self._out = np.empty(max(1, plan.num_hosts), dtype=np.int64)
-        else:
-            self._used = 0
-            self._assign = [-1] * plan.n
-            self._scratch = self._out = None
-
-    def place(self, depth: int, host_index: int) -> None:
-        if self._numba:
-            self._used[host_index >> 6] |= np.uint64(1 << (host_index & 63))
-        else:
-            self._used |= 1 << host_index
-        self._assign[depth] = host_index
-
-    def unplace(self, depth: int, host_index: int) -> None:
-        if self._numba:
-            self._used[host_index >> 6] ^= np.uint64(1 << (host_index & 63))
-        else:
-            self._used ^= 1 << host_index
-        self._assign[depth] = -1
-
-    def candidates(self, depth: int) -> List[int]:
-        """Untried host indices for ``order[depth]``, ascending."""
-        plan = self._plan
-        if self._numba:
-            match_words, node_words, prior_off, slot_depth, slot_rows, nw = \
-                plan.words()
-            count = _NUMBA["rwb"](depth, self._assign, self._used, node_words,
-                                  prior_off, slot_depth, slot_rows,
-                                  match_words, nw, self._scratch, self._out)
-            return [int(h) for h in self._out[:count]]
-        mask = _candidates_int(plan, depth, self._assign, self._used)
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-
-
-# ---------------------------------------------------------------------- #
-# numba backend: compile + self-test
-# ---------------------------------------------------------------------- #
-
-if HAVE_NUMPY:
-    # uint64 constants as module globals: numba freezes globals at compile
-    # time, and keeping every operand explicitly uint64 avoids the silent
-    # uint64/int64 -> float64 promotion trap inside njit code.
-    _U0 = np.uint64(0)
-    _U1 = np.uint64(1)
-    _P5 = np.uint64(0x5555555555555555)
-    _P3 = np.uint64(0x3333333333333333)
-    _PF = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _PH = np.uint64(0x0101010101010101)
-    _S32 = np.uint64(32)
-    _S16 = np.uint64(16)
-    _S8 = np.uint64(8)
-    _S4 = np.uint64(4)
-    _S2 = np.uint64(2)
-    _S1 = np.uint64(1)
-    _S56 = np.uint64(56)
-    _M32 = np.uint64(0xFFFFFFFF)
-    _M16 = np.uint64(0xFFFF)
-    _M8 = np.uint64(0xFF)
-    _M4 = np.uint64(0xF)
-    _M2 = np.uint64(0x3)
-    _M1 = np.uint64(0x1)
-
-
-def _nb_popcount64(x):
-    x = x - ((x >> _S1) & _P5)
-    x = (x & _P3) + ((x >> _S2) & _P3)
-    x = (x + (x >> _S4)) & _PF
-    return np.int64((x * _PH) >> _S56)
-
-
-def _nb_ctz64(x):
-    # x is nonzero; binary search over the low bits.
-    n = 0
-    if x & _M32 == _U0:
-        n += 32
-        x >>= _S32
-    if x & _M16 == _U0:
-        n += 16
-        x >>= _S16
-    if x & _M8 == _U0:
-        n += 8
-        x >>= _S8
-    if x & _M4 == _U0:
-        n += 4
-        x >>= _S4
-    if x & _M2 == _U0:
-        n += 2
-        x >>= _S2
-    if x & _M1 == _U0:
-        n += 1
-    return n
-
-
-def _nb_ecf_chunk(remaining, placed_idx, assign_idx, used, node_words,
-                  prior_off, slot_depth, slot_rows, match_words, depth,
-                  start_depth, n, num_words, max_steps, leaves, max_leaves,
-                  out):
-    # Word-array transliteration of _ecf_chunk_ints; out receives
-    # (depth, expanded, considered, backtracks, n_leaves).
-    steps = 0
-    expanded = 0
-    considered = 0
-    backtracks = 0
-    n_leaves = 0
-    last = n - 1
-    while depth >= start_depth:
-        w = -1
-        for k in range(num_words):
-            if remaining[depth, k] != _U0:
-                w = k
-                break
-        if w < 0:
-            prev = placed_idx[depth]
-            if prev >= 0:
-                used[prev >> 6] ^= _U1 << np.uint64(prev & 63)
-                placed_idx[depth] = -1
-            depth -= 1
-            continue
-        word = remaining[depth, w]
-        b = _nb_ctz64(word)
-        remaining[depth, w] = word & (word - _U1)
-        host = (w << 6) + b
-        prev = placed_idx[depth]
-        if prev >= 0:
-            used[prev >> 6] ^= _U1 << np.uint64(prev & 63)
-        placed_idx[depth] = host
-        used[w] |= _U1 << np.uint64(b)
-        assign_idx[depth] = host
-        if depth == last:
-            for d in range(n):
-                leaves[n_leaves, d] = assign_idx[d]
-            n_leaves += 1
-            if n_leaves >= max_leaves:
-                out[0] = depth
-                out[1] = expanded
-                out[2] = considered
-                out[3] = backtracks
-                out[4] = n_leaves
-                return 1
-            continue
-        depth += 1
-        lo = prior_off[depth]
-        hi = prior_off[depth + 1]
-        count = 0
-        if lo == hi:
-            for k in range(num_words):
-                v = node_words[depth, k] & ~used[k]
-                remaining[depth, k] = v
-                count += _nb_popcount64(v)
-        else:
-            alive = True
-            row = slot_rows[lo, assign_idx[slot_depth[lo]]]
-            if row < 0:
-                alive = False
-            else:
-                for k in range(num_words):
-                    remaining[depth, k] = match_words[row, k]
-                for j in range(lo + 1, hi):
-                    row = slot_rows[j, assign_idx[slot_depth[j]]]
-                    if row < 0:
-                        alive = False
-                        break
-                    nz = _U0
-                    for k in range(num_words):
-                        v = remaining[depth, k] & match_words[row, k]
-                        remaining[depth, k] = v
-                        nz |= v
-                    if nz == _U0:
-                        alive = False
-                        break
-            if alive:
-                for k in range(num_words):
-                    v = remaining[depth, k] & ~used[k]
-                    remaining[depth, k] = v
-                    count += _nb_popcount64(v)
-            else:
-                for k in range(num_words):
-                    remaining[depth, k] = _U0
-        expanded += 1
-        considered += count
-        placed_idx[depth] = -1
-        if count == 0:
-            backtracks += 1
-        steps += 1
-        if steps >= max_steps:
-            out[0] = depth
-            out[1] = expanded
-            out[2] = considered
-            out[3] = backtracks
-            out[4] = n_leaves
-            return 1
-    out[0] = depth
-    out[1] = expanded
-    out[2] = considered
-    out[3] = backtracks
-    out[4] = n_leaves
-    return 0
-
-
-def _nb_rwb_candidates(depth, assign_idx, used, node_words, prior_off,
-                       slot_depth, slot_rows, match_words, num_words,
-                       scratch, out_idx):
-    lo = prior_off[depth]
-    hi = prior_off[depth + 1]
-    if lo == hi:
-        for k in range(num_words):
-            scratch[k] = node_words[depth, k] & ~used[k]
-    else:
-        row = slot_rows[lo, assign_idx[slot_depth[lo]]]
-        if row < 0:
-            return 0
-        for k in range(num_words):
-            scratch[k] = match_words[row, k]
-        for j in range(lo + 1, hi):
-            row = slot_rows[j, assign_idx[slot_depth[j]]]
-            if row < 0:
-                return 0
-            nz = _U0
-            for k in range(num_words):
-                v = scratch[k] & match_words[row, k]
-                scratch[k] = v
-                nz |= v
-            if nz == _U0:
-                return 0
-        for k in range(num_words):
-            scratch[k] &= ~used[k]
-    count = 0
-    for k in range(num_words):
-        word = scratch[k]
-        base = k << 6
-        while word != _U0:
-            out_idx[count] = base + _nb_ctz64(word)
-            count += 1
-            word &= word - _U1
-    return count
-
-
-def _compile_numba(numba) -> dict:
-    # Rebind the module-level kernel sources to their jitted dispatchers so
-    # the cross-calls (_nb_ecf_chunk -> _nb_ctz64) resolve to compiled code.
-    # Module-level functions keep numba's on-disk cache (NUMBA_CACHE_DIR)
-    # usable; locally-defined closures would defeat it.
-    global _nb_popcount64, _nb_ctz64, _nb_ecf_chunk, _nb_rwb_candidates
-    njit = numba.njit(cache=True, nogil=True)
-    if not hasattr(_nb_ecf_chunk, "py_func"):
-        _nb_popcount64 = njit(_nb_popcount64)
-        _nb_ctz64 = njit(_nb_ctz64)
-        _nb_ecf_chunk = njit(_nb_ecf_chunk)
-        _nb_rwb_candidates = njit(_nb_rwb_candidates)
-    return {"ecf": _nb_ecf_chunk, "rwb": _nb_rwb_candidates}
-
-
-def _self_test(table: dict) -> None:
-    """Run the compiled kernels on a 2-node / 2-host universe and verify
-    the mapping order and every counter against hand-computed values."""
-    n, hosts, nw = 2, 2, 1
-    node_words = np.array([[3], [3]], dtype=np.uint64)
-    prior_off = np.array([0, 0, 0], dtype=np.int64)
-    slot_depth = np.zeros(0, dtype=np.int64)
-    slot_rows = np.zeros((0, hosts), dtype=np.int64)
-    match_words = np.zeros((0, nw), dtype=np.uint64)
-    remaining = np.zeros((n, nw), dtype=np.uint64)
-    remaining[0, 0] = 3
-    placed_idx = np.full(n, -1, dtype=np.int64)
-    assign_idx = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(nw, dtype=np.uint64)
-    leaves = np.zeros((8, n), dtype=np.int64)
-    out = np.zeros(5, dtype=np.int64)
-    status = table["ecf"](remaining, placed_idx, assign_idx, used, node_words,
-                          prior_off, slot_depth, slot_rows, match_words,
-                          0, 0, n, nw, 64, leaves, 8, out)
-    expected = [(0, 1), (1, 0)]
-    got = [tuple(int(x) for x in leaves[i]) for i in range(int(out[4]))]
-    if (status != 0 or got != expected or int(out[1]) != 2
-            or int(out[2]) != 2 or int(out[3]) != 0):
-        raise RuntimeError(
-            f"ecf kernel self-test mismatch: status={status} leaves={got} "
-            f"counters={[int(x) for x in out]}")
-    scratch = np.zeros(nw, dtype=np.uint64)
-    out_idx = np.zeros(hosts, dtype=np.int64)
-    used[0] = 0
-    assign_idx[:] = -1
-    count = table["rwb"](0, assign_idx, used, node_words, prior_off,
-                         slot_depth, slot_rows, match_words, nw, scratch,
-                         out_idx)
-    if count != 2 or list(out_idx[:2]) != [0, 1]:
-        raise RuntimeError(
-            f"rwb kernel self-test mismatch: count={count} "
-            f"idx={list(out_idx[:count])}")
-
-
-_BACKEND = _init_from_env()
-HAVE_NUMBA = _NUMBA is not None

@@ -58,7 +58,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, Executor, Future,
-                                ProcessPoolExecutor, ThreadPoolExecutor, wait)
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -71,23 +71,6 @@ from repro.utils.timing import Deadline, TimeoutExpired
 #: the work-stealing mechanism: subtree costs are wildly skewed, and a pool
 #: worker that finishes a cheap shard pulls the next pending one.
 DEFAULT_SHARD_FACTOR = 4
-
-#: ``REPRO_SHARD_BACKEND=thread`` swaps the shard pool for a
-#: ``ThreadPoolExecutor``.  With the pure-Python kernel threads are
-#: GIL-bound (correctness testing only); with the numba kernel the chunk
-#: loops run ``nogil``, so thread shards scale across cores while skipping
-#: both the pickle round-trip and process start-up entirely.
-_BACKEND_ENV = "REPRO_SHARD_BACKEND"
-
-
-def shard_backend() -> str:
-    """The configured shard pool backend: ``process`` (default) or ``thread``."""
-    value = os.environ.get(_BACKEND_ENV, "process").strip().lower() or "process"
-    if value not in ("process", "thread"):
-        raise ValueError(
-            f"{_BACKEND_ENV} must be 'process' or 'thread', got {value!r}")
-    return value
-
 
 # --------------------------------------------------------------------------- #
 # Picklable work units
@@ -186,12 +169,6 @@ def _encode_assignments(mappings) -> Any:
 _GROUP_CACHE: "Dict[str, ShardGroup]" = {}
 _GROUP_CACHE_LIMIT = 4
 
-#: Thread-backend groups, handed to shards by reference (same process, no
-#: pickle).  Registered before the first submit and popped by ``run_sharded``
-#: as the run ends, so — unlike ``_GROUP_CACHE`` — entries can never be
-#: evicted while their shards are still in flight.
-_INPROC_GROUPS: "Dict[str, ShardGroup]" = {}
-
 #: Groups above this pickled size ship via a spill file instead of inline
 #: task bytes: N shards of a megabytes-sized filter set must not pay the
 #: pipe N times.
@@ -199,9 +176,8 @@ _INLINE_GROUP_LIMIT = 128 * 1024
 
 _token_counter = itertools.count()
 
-#: Transport: ``("bytes", pickled_group, sentinel_path)``,
-#: ``("file", spill_path, sentinel_path)`` or ``("inproc", None,
-#: sentinel_path)`` for thread shards.  The sentinel is a file the
+#: Transport: ``("bytes", pickled_group, sentinel_path)`` or
+#: ``("file", spill_path, sentinel_path)``.  The sentinel is a file the
 #: parent unlinks as the run's very last act (for file transport it *is*
 #: the spill), giving in-flight shards of an already-finished run an
 #: abandonment signal regardless of how the group shipped.
@@ -209,16 +185,9 @@ GroupTransport = Tuple[str, Any, str]
 
 
 def _decode_group(token: str, transport: GroupTransport) -> ShardGroup:
-    group = _INPROC_GROUPS.get(token)
-    if group is not None:
-        return group
     group = _GROUP_CACHE.get(token)
     if group is None:
         kind, payload, _sentinel = transport
-        if kind == "inproc":
-            # Registered groups are popped only after the run ends, so this
-            # shard was abandoned; its future is never consumed.
-            raise LookupError(f"shard group {token} already retired")
         if kind == "file":
             with open(payload, "rb") as handle:
                 payload = handle.read()
@@ -320,15 +289,7 @@ def _pool_context():
 
 
 def make_pool(max_workers: Optional[int] = None) -> Executor:
-    """A new shard pool (callers own its shutdown).
-
-    ``REPRO_SHARD_BACKEND=thread`` yields a ``ThreadPoolExecutor`` — shard
-    groups then travel by reference (see ``_INPROC_GROUPS``) instead of
-    being pickled.
-    """
-    if shard_backend() == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers,
-                                  thread_name_prefix="repro-shard")
+    """A new shard process pool (callers own its shutdown)."""
     return ProcessPoolExecutor(max_workers=max_workers,
                                mp_context=_pool_context())
 
@@ -577,38 +538,25 @@ def run_sharded(algorithm, context, prepared, parallelism: int,
     retry_pools: List[Executor] = []
     caller_pool = pool
     executor = shared_pool() if pool is None else pool
-    inproc = isinstance(executor, ThreadPoolExecutor)
     try:
         # Everything from temp-file creation onward runs under this
         # try/finally: a failing spill write, a worker exception, a broken
         # pool, a deadline — every exit path reaches the unlink below.
-        if inproc:
-            # Thread shards share the parent's address space: hand the
-            # group over by reference and skip the pickle round-trip (the
-            # compiled artifacts — word tables, kernel plans — are only
-            # *read* by shards, so sharing is safe).  The empty sentinel
-            # still carries the abandonment signal.
-            _INPROC_GROUPS[token] = group
-            fd, sentinel_path = tempfile.mkstemp(prefix="repro-shard-run-",
-                                                 suffix=".live")
-            os.close(fd)
-            transport: GroupTransport = ("inproc", None, sentinel_path)
+        blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)
+        if len(blob) > _INLINE_GROUP_LIMIT:
+            fd, sentinel_path = tempfile.mkstemp(
+                prefix="repro-shard-group-", suffix=".pkl")
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            transport: GroupTransport = ("file", sentinel_path, sentinel_path)
         else:
-            blob = pickle.dumps(group, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) > _INLINE_GROUP_LIMIT:
-                fd, sentinel_path = tempfile.mkstemp(
-                    prefix="repro-shard-group-", suffix=".pkl")
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                transport = ("file", sentinel_path, sentinel_path)
-            else:
-                # Small groups ship inline; the empty sentinel still gives
-                # in-flight shards the abandonment signal when the parent
-                # finishes early.
-                fd, sentinel_path = tempfile.mkstemp(
-                    prefix="repro-shard-run-", suffix=".live")
-                os.close(fd)
-                transport = ("bytes", blob, sentinel_path)
+            # Small groups ship inline; the empty sentinel still gives
+            # in-flight shards the abandonment signal when the parent
+            # finishes early.
+            fd, sentinel_path = tempfile.mkstemp(
+                prefix="repro-shard-run-", suffix=".live")
+            os.close(fd)
+            transport = ("bytes", blob, sentinel_path)
 
         attempt = 0
         while True:
@@ -658,7 +606,6 @@ def run_sharded(algorithm, context, prepared, parallelism: int,
                 os.unlink(sentinel_path)
             except OSError:
                 pass
-        _INPROC_GROUPS.pop(token, None)
         for retry_pool in retry_pools:
             retry_pool.shutdown(wait=False)
 

@@ -100,8 +100,8 @@ class PreparedSearch:
 
         The word tables pickle private copies of their arrays (see
         :class:`~repro.core.words.WordTable`), so a shard payload never
-        aliases this object's buffers; compiled-kernel plans live on the
-        filters object and are stripped by *its* ``__getstate__``.
+        aliases this object's buffers; kernel plans live on the filters
+        object and are stripped by *its* ``__getstate__``.
         """
         state = dict(self.__dict__)
         if HAVE_NUMPY and self.indexer is not None:
@@ -304,11 +304,8 @@ class EmbeddingPlan:
 
     def describe(self) -> Dict[str, Any]:
         """A JSON-friendly summary of the plan (used by ``repro plan``)."""
-        from repro.core import kernel
-
         filters = self.prepared.filters
         return {
-            "kernel": kernel.active_backend(),
             "algorithm": self.algorithm.name,
             "query": self.request.query.name,
             "hosting": self.request.hosting.name,

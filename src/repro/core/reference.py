@@ -1,28 +1,34 @@
-"""The pre-bitset, set-semantics candidate engine, preserved verbatim.
+"""The recursive reference engines: the one oracle of the search kernel.
 
 This module is the frozen "before" of the bitset refactor: dict-of-set filter
 matrices built and queried exactly the way the original implementation did,
-plus a recursive ECF on top of them.  It exists for two reasons:
+plus a recursive ECF on top of them, and the recursive RWB walk the kernel's
+explicit-stack walk replays.  It exists for two reasons:
 
-* **Parity.**  ``tests/test_core_bitset_parity.py`` asserts that the bitmask
-  engine produces identical cells, candidate sets, entry counts and mapping
-  streams on randomised workloads, with this module as the oracle.
+* **Parity.**  The test suite (``tests/test_core_bitset_parity.py``,
+  ``tests/test_kernel_parity.py``, ``tests/test_kernel_words.py`` and the
+  cross-layer differential suite) asserts that the production engines
+  produce identical cells, candidate sets, entry counts, mapping streams,
+  search counters and seeded RWB streams, with this module as the oracle.
 * **Trajectory.**  ``benchmarks/bench_perf_core.py`` times this engine
-  against the bitset engine on the same workload and records both numbers in
-  ``BENCH_core.json``, so every future perf PR can see where it started.
+  against the production engine on the same workload and records both
+  numbers, plus the parity verdicts, in ``BENCH_core.json``.
 
-It is intentionally *not* registered with the algorithm registry: nothing in
-the production path should ever pick it up.
+Nothing here is registered with the algorithm registry: nothing in the
+production path should ever pick it up.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.constraints import ConstraintExpression
 from repro.core.base import EmbeddingAlgorithm, SearchContext
-from repro.core.filters import FilterKey, compute_node_candidates
+from repro.core.filters import FilterKey, FilterMatrices, compute_node_candidates
+from repro.core.plan import PreparedSearch
+from repro.core.rwb import RWB, _subtree_seed
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.network import Edge, NodeId
 from repro.graphs.query import QueryNetwork
@@ -238,6 +244,72 @@ class ReferenceECF(EmbeddingAlgorithm):
                                        assignment, used)
             del assignment[node]
             used.discard(host)
+            if not keep_going:
+                return False
+        return True
+
+
+class ReferenceRWB(RWB):
+    """RWB with the original recursive walk over the filter accessors.
+
+    Inherits RWB's prepare stage and its root plan (the shuffled root order
+    and the per-subtree seeds), and walks each subtree recursively through
+    :meth:`FilterMatrices.candidates_mask_given` and the indexer's decode —
+    no kernel row tables.  Its seeded mapping stream and counters are the
+    ground truth the kernel walk must reproduce byte for byte.
+    """
+
+    name = "RWB-reference"
+
+    def _run_shard(self, context: SearchContext, prepared: PreparedSearch,
+                   spec: Tuple[int, List[NodeId], int]) -> bool:
+        start, hosts, base = spec
+        filters = prepared.filters
+        order = prepared.order
+        node = order[0]
+        bit_of = filters.host_indexer.bit
+        assignment: Dict[NodeId, NodeId] = {}
+        for offset, host in enumerate(hosts):
+            rng = random.Random(_subtree_seed(base, start + offset))
+            assignment[node] = host
+            keep_going = self._walk(context, filters, order, prepared.prior,
+                                    1, assignment, bit_of(host), rng)
+            del assignment[node]
+            if not keep_going:
+                return False
+        return True
+
+    def _walk(self, context: SearchContext, filters: FilterMatrices,
+              order: List[NodeId], prior: Sequence[Tuple[NodeId, ...]],
+              depth: int, assignment: Dict[NodeId, NodeId],
+              used_mask: int, rng) -> bool:
+        """Randomised depth-first walk.  Returns ``False`` iff stopped early."""
+        context.check_deadline()
+
+        if depth == len(order):
+            stop = context.record_mapping(dict(assignment))
+            return not stop
+
+        node = order[depth]
+        placed_neighbors = [(neighbor, assignment[neighbor])
+                            for neighbor in prior[depth]]
+        mask = filters.candidates_mask_given(node, placed_neighbors, used_mask)
+        candidates = filters.host_indexer.decode(mask)
+
+        context.stats.nodes_expanded += 1
+        context.stats.candidates_considered += len(candidates)
+
+        if not candidates:
+            context.stats.backtracks += 1
+            return True
+
+        rng.shuffle(candidates)
+        bit_of = filters.host_indexer.bit
+        for host in candidates:
+            assignment[node] = host
+            keep_going = self._walk(context, filters, order, prior, depth + 1,
+                                    assignment, used_mask | bit_of(host), rng)
+            del assignment[node]
             if not keep_going:
                 return False
         return True

@@ -24,18 +24,22 @@ what makes RWB shardable (see :mod:`repro.core.parallel`): a worker handed an
 arbitrary slice of the root order reproduces exactly the subtree streams a
 serial run would, so parallel and serial mapping streams are byte-identical
 for any shard count — and seeded runs reproduce across process boundaries.
+
+Each subtree walk is an explicit-stack loop over the row tables of
+:mod:`repro.core.kernel`; the recursive walk it replays lives on as the
+seeded-stream oracle :class:`repro.core.reference.ReferenceRWB`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core import kernel
 from repro.core.base import EmbeddingAlgorithm, SearchContext, placed_neighbor_plan
-from repro.core.filters import FilterMatrices, build_filters
+from repro.core.filters import build_filters
 from repro.core.ordering import ORDERINGS
 from repro.core.plan import PreparedSearch
 from repro.graphs.network import NodeId
@@ -201,68 +205,58 @@ class RWB(EmbeddingAlgorithm):
                    spec: Tuple[int, List[NodeId], int]) -> bool:
         """Walk one slice of the root order, one derived rng per subtree."""
         start, hosts, base = spec
-        filters = prepared.filters
-        order = prepared.order
-        node = order[0]
-        plan = kernel.plan_for(filters, order, prepared.prior)
-        if plan is not None:
-            index_of = filters.host_indexer.index_of
-            for offset, host in enumerate(hosts):
-                rng = random.Random(_subtree_seed(base, start + offset))
-                keep_going = self._walk_kernel(context, plan, node, host,
-                                               index_of(host), rng)
-                if not keep_going:
-                    return False
-            return True
-        bit_of = filters.host_indexer.bit
-        assignment: Dict[NodeId, NodeId] = {}
+        plan = kernel.plan_for(prepared.filters, prepared.order, prepared.prior)
+        index_of = prepared.filters.host_indexer.index_of
         for offset, host in enumerate(hosts):
             rng = random.Random(_subtree_seed(base, start + offset))
-            assignment[node] = host
-            keep_going = self._walk(context, filters, order, prepared.prior,
-                                    1, assignment, bit_of(host), rng)
-            del assignment[node]
-            if not keep_going:
+            if not self._walk_kernel(context, plan, host, index_of(host), rng):
                 return False
         return True
 
-    def _walk_kernel(self, context: SearchContext, plan, root_node: NodeId,
-                     root_host: NodeId, root_index: int, rng) -> bool:
-        """Iterative twin of :meth:`_walk` over the kernel's candidate
-        cursor.  Returns ``False`` iff stopped early (result cap).
+    def _walk_kernel(self, context: SearchContext, plan, root_host: NodeId,
+                     root_index: int, rng) -> bool:
+        """Randomised depth-first walk below one placed root candidate.
+        Returns ``False`` iff stopped early (result cap).
 
-        The control flow — deadline poll on every node entry (leaves
-        included), expansion/backtrack counting, one ``rng.shuffle`` per
-        non-leaf — replays the recursion exactly; shuffling the *index*
-        list yields the same permutation the legacy walk applies to the
-        decoded node list, because ``random.shuffle`` depends only on the
-        sequence length and the rng state, and ascending index order *is*
-        the decode order.
+        An explicit-stack replay of the recursive walk of
+        :class:`repro.core.reference.ReferenceRWB`: deadline poll on every
+        node entry (leaves included), expansion/backtrack counting, one
+        ``rng.shuffle`` per non-leaf.  Shuffling the ascending *index* list
+        yields the same permutation the recursion applies to the decoded
+        node list, because ``random.shuffle`` depends only on the sequence
+        length and the rng state, and ascending index order *is* the decode
+        order.
         """
         order = plan.order
         host_nodes = plan.host_nodes
         n = plan.n
         stats = context.stats
-        cursor = kernel.RwbCursor(plan)
-        cursor.place(0, root_index)
+        candidates_int = kernel.candidates_int
+        used = 1 << root_index
+        assign_idx = [-1] * n     # placed host index per depth
+        assign_idx[0] = root_index
         candidate_lists: List[Optional[List[int]]] = [None] * n
         next_pos = [0] * n
-        placed = [-1] * n
         depth = 1
         entering = True
         while True:
             if entering:
                 context.check_deadline()
                 if depth == n:
-                    mapping: Dict[NodeId, NodeId] = {root_node: root_host}
+                    mapping: Dict[NodeId, NodeId] = {order[0]: root_host}
                     for d in range(1, n):
-                        mapping[order[d]] = host_nodes[placed[d]]
+                        mapping[order[d]] = host_nodes[assign_idx[d]]
                     if context.record_mapping(mapping):
                         return False
                     depth -= 1
                     entering = False
                     continue
-                candidates = cursor.candidates(depth)
+                mask = candidates_int(plan, depth, assign_idx, used)
+                candidates = []
+                while mask:
+                    low = mask & -mask
+                    candidates.append(low.bit_length() - 1)
+                    mask ^= low
                 stats.nodes_expanded += 1
                 stats.candidates_considered += len(candidates)
                 if not candidates:
@@ -270,6 +264,9 @@ class RWB(EmbeddingAlgorithm):
                     depth -= 1
                     entering = False
                     continue
+                # The random walk: candidates are tried in random order;
+                # failed ones are implicitly "discarded" by the loop, which
+                # is the paper's per-node discarded list.
                 rng.shuffle(candidates)
                 candidate_lists[depth] = candidates
                 next_pos[depth] = 0
@@ -277,9 +274,10 @@ class RWB(EmbeddingAlgorithm):
                 continue
             if depth < 1:
                 return True      # the root subtree is exhausted
-            if placed[depth] >= 0:
-                cursor.unplace(depth, placed[depth])
-                placed[depth] = -1
+            placed = assign_idx[depth]
+            if placed >= 0:
+                used ^= 1 << placed
+                assign_idx[depth] = -1
             position = next_pos[depth]
             candidates = candidate_lists[depth]
             if candidates is None or position >= len(candidates):
@@ -287,45 +285,7 @@ class RWB(EmbeddingAlgorithm):
                 continue
             next_pos[depth] = position + 1
             host_index = candidates[position]
-            cursor.place(depth, host_index)
-            placed[depth] = host_index
+            used |= 1 << host_index
+            assign_idx[depth] = host_index
             depth += 1
             entering = True
-
-    def _walk(self, context: SearchContext, filters: FilterMatrices,
-              order: List[NodeId], prior: Sequence[Tuple[NodeId, ...]],
-              depth: int, assignment: Dict[NodeId, NodeId],
-              used_mask: int, rng) -> bool:
-        """Randomised depth-first walk.  Returns ``False`` iff stopped early."""
-        context.check_deadline()
-
-        if depth == len(order):
-            stop = context.record_mapping(dict(assignment))
-            return not stop
-
-        node = order[depth]
-        placed_neighbors = [(neighbor, assignment[neighbor])
-                            for neighbor in prior[depth]]
-        mask = filters.candidates_mask_given(node, placed_neighbors, used_mask)
-        candidates = filters.host_indexer.decode(mask)
-
-        context.stats.nodes_expanded += 1
-        context.stats.candidates_considered += len(candidates)
-
-        if not candidates:
-            context.stats.backtracks += 1
-            return True
-
-        # The random walk: candidates are tried in random order; failed ones
-        # are implicitly "discarded" by the loop, which is equivalent to the
-        # paper's per-node discarded list.
-        rng.shuffle(candidates)
-        bit_of = filters.host_indexer.bit
-        for host in candidates:
-            assignment[node] = host
-            keep_going = self._walk(context, filters, order, prior, depth + 1,
-                                    assignment, used_mask | bit_of(host), rng)
-            del assignment[node]
-            if not keep_going:
-                return False
-        return True

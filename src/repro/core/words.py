@@ -1,23 +1,21 @@
-"""Fixed-width word backing for the candidate-set bitmasks.
+"""Fixed-width word packing of candidate-set bitmasks for pickling.
 
-The in-process mask representation stays an unbounded Python int (PR 2's
-bitset algebra — the accessor API of :class:`~repro.core.filters.FilterMatrices`
-is unchanged).  This module provides the *other* backing of the same masks:
-little-endian ``numpy.uint64`` word arrays, which are
-
-* what the compiled search kernel (:mod:`repro.core.kernel`) iterates over —
-  fixed-width words admit branch-free popcount/ctz and ``nogil`` compilation,
-  which arbitrary-precision ints never can;
-* what crosses process boundaries — shard groups and compiled plans pickle
-  contiguous word arrays instead of re-serialising thousands of bignums.
+The in-process mask representation is an unbounded Python int.  Across
+process boundaries — shard groups and compiled plans — a
+``{key: int_mask}`` dict travels as a :class:`WordTable`: one contiguous
+little-endian ``numpy.uint64`` array instead of thousands of re-serialised
+bignums.  Tables are packed on the fly by the pickling hooks
+of :class:`~repro.core.filters.FilterMatrices` and
+:class:`~repro.core.plan.PreparedSearch` and unpacked on arrival; they are
+never a second live storage.
 
 Bit *i* of a mask lives in word ``i // 64``, bit ``i % 64`` — i.e. the word
 array is exactly ``mask.to_bytes(..., "little")`` viewed as ``uint64``.  All
 conversions are loss-free and round-trip exactly, including masks of zero
 and masks whose top bit sits on a word boundary.
 
-Everything here is gated on numpy being importable (``HAVE_NUMPY``); the
-pure-dict pickle path and the Python kernel keep working without it.
+Everything here needs numpy (``HAVE_NUMPY``); without it the pickling hooks
+ship the plain dicts.
 """
 
 from __future__ import annotations
@@ -26,52 +24,41 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.constraints.vectorizer import HAVE_NUMPY, np
 
-from repro.core.indexing import WORD_BITS, word_count
-
 __all__ = [
     "WORD_BITS",
     "word_count",
-    "mask_to_words",
-    "words_to_mask",
     "pack_masks",
     "unpack_masks",
     "WordTable",
 ]
 
+#: Bits per packed mask word.
+WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
+
+
+def word_count(num_bits: int) -> int:
+    """How many fixed-width words cover *num_bits* mask bits (at least one,
+    so degenerate empty indexes still yield well-formed word arrays)."""
+    return max(1, (num_bits + WORD_BITS - 1) // WORD_BITS)
 
 
 def _require_numpy() -> None:
     if not HAVE_NUMPY:  # pragma: no cover - numpy is a baked-in dependency
         raise RuntimeError(
-            "word-array mask backing requires numpy; "
+            "word-array mask packing requires numpy; "
             "install numpy or stay on the pure-int representation")
 
 
-def mask_to_words(mask: int, num_words: int):
-    """Encode a non-negative int *mask* as ``num_words`` little-endian uint64.
-
-    Raises ``OverflowError`` if the mask does not fit — a mask wider than
-    its indexer is always a bug upstream, never something to truncate.
-    """
-    _require_numpy()
-    if mask < 0:
-        raise ValueError("masks are non-negative candidate sets")
-    raw = mask.to_bytes(num_words * _WORD_BYTES, "little")
-    return np.frombuffer(raw, dtype=np.uint64).copy()
-
-
-def words_to_mask(row) -> int:
-    """Decode one word row (any uint64 sequence) back to the Python int."""
-    _require_numpy()
-    arr = np.ascontiguousarray(row, dtype=np.uint64)
-    return int.from_bytes(arr.tobytes(), "little")
-
-
 def pack_masks(masks: Sequence[int], num_words: int):
-    """Stack many masks into one C-contiguous ``(len(masks), num_words)``
-    uint64 array (zero rows when *masks* is empty — no row is ever
-    referenced in that case)."""
+    """Stack many non-negative masks into one C-contiguous
+    ``(len(masks), num_words)`` uint64 array (zero rows when *masks* is
+    empty).
+
+    Raises ``OverflowError`` for a negative mask or one that does not fit —
+    a mask wider than its indexer is always a bug upstream, never something
+    to truncate.
+    """
     _require_numpy()
     if not masks:
         return np.zeros((0, num_words), dtype=np.uint64)
@@ -92,75 +79,29 @@ def unpack_masks(words) -> List[int]:
 
 
 class WordTable:
-    """A keyed family of masks backed by one contiguous word array.
+    """A keyed family of masks packed into one contiguous word array.
 
-    This is the word-array twin of a ``{key: int_mask}`` dict: ``keys[r]``
-    owns row ``r`` of ``words``.  Zero-valued masks keep their key — an
-    empty candidate set is real information (an infeasible node), not an
-    absent entry — so ``to_masks()`` round-trips the source dict exactly,
-    including insertion order.
+    ``keys[r]`` owns row ``r`` of ``words``.  Zero-valued masks keep their
+    key — an empty candidate set is real information (an infeasible node),
+    not an absent entry — so ``to_masks()`` round-trips the source dict
+    exactly, including insertion order.
     """
 
-    __slots__ = ("keys", "rows", "words", "num_bits")
+    __slots__ = ("keys", "words")
 
-    def __init__(self, keys: Tuple, words, num_bits: int) -> None:
+    def __init__(self, keys: Tuple, words) -> None:
         self.keys = tuple(keys)
         self.words = words
-        self.num_bits = int(num_bits)
-        self.rows: Dict[object, int] = {k: r for r, k in enumerate(self.keys)}
 
     @classmethod
     def from_masks(cls, masks: Dict[object, int], num_bits: int) -> "WordTable":
-        nw = word_count(num_bits)
+        """Pack *masks*, each at most *num_bits* wide."""
         return cls(tuple(masks.keys()),
-                   pack_masks(list(masks.values()), nw), num_bits)
-
-    @property
-    def num_words(self) -> int:
-        return int(self.words.shape[1])
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def row_of(self, key) -> int:
-        """Row index of *key*, or -1 when absent (kernel sentinel for an
-        empty/deleted cell)."""
-        return self.rows.get(key, -1)
-
-    def mask_of(self, key) -> int:
-        row = self.rows.get(key)
-        return 0 if row is None else words_to_mask(self.words[row])
+                   pack_masks(list(masks.values()), word_count(num_bits)))
 
     def to_masks(self) -> Dict[object, int]:
         """Rebuild the ``{key: int_mask}`` dict, order and zeros preserved."""
-        ints = unpack_masks(self.words)
-        return {key: ints[r] for r, key in enumerate(self.keys)}
-
-    def updated(self, masks: Dict[object, int], touched) -> "WordTable":
-        """A copy with only *touched* rows rewritten from *masks*.
-
-        This is the incremental-patch path: when a churn patch flips a few
-        cells, the untouched rows are block-copied and only the touched rows
-        are re-encoded.  Falls back to a full rebuild (returns a fresh
-        table) when the keys changed *in any way, including order* — row
-        ids are assigned from dict enumeration order downstream
-        (``KernelPlan``), and a patch that deletes a key and re-inserts it
-        moves it to the end of the dict without changing the key set.
-        """
-        if tuple(masks.keys()) != self.keys:
-            return WordTable.from_masks(masks, self.num_bits)
-        words = self.words.copy()
-        nw = self.num_words
-        for key in touched:
-            row = self.rows.get(key)
-            if row is not None:
-                words[row] = mask_to_words(masks[key], nw)
-        table = WordTable.__new__(WordTable)
-        table.keys = self.keys
-        table.words = words
-        table.num_bits = self.num_bits
-        table.rows = dict(self.rows)
-        return table
+        return dict(zip(self.keys, unpack_masks(self.words)))
 
     # ------------------------------------------------------------------ #
     # Pickling: ship a private copy, never a view of the parent buffer
@@ -168,14 +109,10 @@ class WordTable:
 
     def __getstate__(self):
         # np.ascontiguousarray + copy guarantees the pickled payload owns
-        # its memory even if self.words is a view into a larger buffer; the
-        # rows dict is derivable and stays out of the payload.
-        return (self.keys, np.ascontiguousarray(self.words).copy(),
-                self.num_bits)
+        # its memory even if self.words is a view into a larger buffer.
+        return (self.keys, np.ascontiguousarray(self.words).copy())
 
     def __setstate__(self, state):
-        keys, words, num_bits = state
+        keys, words = state
         self.keys = tuple(keys)
         self.words = words
-        self.num_bits = int(num_bits)
-        self.rows = {k: r for r, k in enumerate(self.keys)}

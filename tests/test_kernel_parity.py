@@ -1,17 +1,19 @@
-"""Kernel backend parity: compiled search loops vs. the reference engine.
+"""Kernel parity: the search kernel vs. the recursive reference engines.
 
-The compiled ECF/RWB kernels (``repro.core.kernel``) must be
-*byte-identical* to the legacy explicit-stack/recursive loops: same mapping
-streams in the same dict-key order, same ``SearchStats`` counters, under
-result caps, chunk pauses, pickling and sharded execution.  The legacy
-engine — reachable via ``REPRO_KERNEL=legacy`` — is the oracle here, just
-as the set-semantics reference is the oracle for the bitset engine.
+The explicit-stack ECF/RWB loops (``repro.core.kernel``) must be
+*byte-identical* to the recursive oracles of ``repro.core.reference``: same
+mapping streams in the same dict-key order, same ``SearchStats`` counters,
+under result caps, tiny deadline-poll intervals and sharded execution.
+``ReferenceECF`` builds its own set-semantics filters and recurses over
+them; ``ReferenceRWB`` shares RWB's prepare stage and root plan but walks
+every subtree recursively through the filter accessors.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
-import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +24,7 @@ from repro.api.request import Budget
 from repro.constraints import ConstraintExpression
 from repro.core import ECF, RWB
 from repro.core import kernel
+from repro.core.reference import ReferenceECF, ReferenceRWB
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
@@ -69,19 +72,25 @@ def observables(result):
     )
 
 
-def run(name: str, query, hosting, backend: str, seed: int = 0,
-        cap=None, parallelism=None):
+#: Engine under test and its oracle, per algorithm name.
+ENGINES = {"ECF": (ECF, ReferenceECF), "RWB": (RWB, ReferenceRWB)}
+
+
+def run(name: str, query, hosting, seed: int = 0, cap=None,
+        parallelism=None, oracle: bool = False):
+    """One search; *oracle* selects the reference engine for *name*."""
     budget = Budget(max_results=cap) if cap else (
         Budget(max_results=10 ** 6) if name == "RWB" else Budget())
     request = SearchRequest.build(query, hosting, constraint=WINDOW,
                                   budget=budget)
-    algo = RWB() if name == "RWB" else ECF()
+    algo = ENGINES[name][1 if oracle else 0]()
+    if name == "ECF" and oracle:
+        return algo.request(request)   # its own set filters, no plan
     rng = seed if name == "RWB" else None
-    with kernel.forced(backend):
-        plan = algo.prepare(request)
-        if parallelism:
-            return plan.execute(parallelism=parallelism, rng=rng)
-        return plan.execute(rng=rng)
+    plan = algo.prepare(request)
+    if parallelism:
+        return plan.execute(parallelism=parallelism, rng=rng)
+    return plan.execute(rng=rng)
 
 
 # --------------------------------------------------------------------------- #
@@ -95,9 +104,9 @@ class TestKernelStreamParity:
            name=st.sampled_from(["ECF", "RWB"]))
     def test_random_workloads(self, seed, name):
         query, hosting = random_workload(seed)
-        legacy = run(name, query, hosting, "legacy", seed=seed)
-        fast = run(name, query, hosting, "python", seed=seed)
-        assert observables(legacy) == observables(fast)
+        reference = run(name, query, hosting, seed=seed, oracle=True)
+        fast = run(name, query, hosting, seed=seed)
+        assert observables(reference) == observables(fast)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -107,127 +116,60 @@ class TestKernelStreamParity:
     def test_result_cap_truncation(self, seed, cap, name):
         """Caps must stop the kernel at exactly the capping leaf."""
         query, hosting = random_workload(seed)
-        legacy = run(name, query, hosting, "legacy", seed=seed, cap=cap)
-        fast = run(name, query, hosting, "python", seed=seed, cap=cap)
-        assert observables(legacy) == observables(fast)
+        reference = run(name, query, hosting, seed=seed, cap=cap, oracle=True)
+        fast = run(name, query, hosting, seed=seed, cap=cap)
+        assert observables(reference) == observables(fast)
 
     def test_chunk_pause_resume_is_invisible(self, monkeypatch):
-        """Tiny chunk budgets force pauses mid-search; results can't change."""
+        """Tiny poll intervals interleave deadline checks with the search;
+        results can't change."""
         query, hosting = random_workload(42, min_hosts=10, max_hosts=10)
-        baseline = run("ECF", query, hosting, "python")
+        baseline = run("ECF", query, hosting)
         monkeypatch.setattr(kernel, "CHUNK_STEPS", 3)
-        monkeypatch.setattr(kernel, "CHUNK_LEAVES", 1)
-        chunked = run("ECF", query, hosting, "python")
+        chunked = run("ECF", query, hosting)
         assert observables(baseline) == observables(chunked)
-        legacy = run("ECF", query, hosting, "legacy")
-        assert observables(legacy) == observables(chunked)
-
-    def test_describe_reports_kernel(self):
-        query, hosting = random_workload(3)
-        request = SearchRequest.build(query, hosting, constraint=WINDOW)
-        plan = ECF().prepare(request)
-        assert plan.describe()["kernel"] == kernel.active_backend()
+        reference = run("ECF", query, hosting, oracle=True)
+        assert observables(reference) == observables(chunked)
+        for cap in (1, 7):
+            assert (observables(run("ECF", query, hosting, cap=cap))
+                    == observables(run("ECF", query, hosting, cap=cap,
+                                       oracle=True)))
 
 
 # --------------------------------------------------------------------------- #
-# Sharded execution (process and thread backends)
+# Sharded execution (process pool and caller-supplied thread pool)
 # --------------------------------------------------------------------------- #
 
 class TestShardedKernelParity:
     @pytest.mark.parametrize("name", ["ECF", "RWB"])
     def test_process_shards_match_serial(self, name):
         query, hosting = random_workload(11, min_hosts=10, max_hosts=12)
-        serial = run(name, query, hosting, "python", seed=5)
-        sharded = run(name, query, hosting, "python", seed=5, parallelism=2)
+        serial = run(name, query, hosting, seed=5)
+        sharded = run(name, query, hosting, seed=5, parallelism=2)
         assert observables(serial) == observables(sharded)
 
     @pytest.mark.parametrize("name", ["ECF", "RWB"])
-    def test_thread_shards_match_serial(self, name, monkeypatch):
-        from repro.core import parallel
-
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "thread")
-        assert parallel.shard_backend() == "thread"
-        pool = parallel.make_pool(2)
-        from concurrent.futures import ThreadPoolExecutor
-
-        assert isinstance(pool, ThreadPoolExecutor)
-        try:
-            query, hosting = random_workload(23, min_hosts=10, max_hosts=12)
-            budget = Budget(max_results=10 ** 6) if name == "RWB" else Budget()
-            request = SearchRequest.build(query, hosting, constraint=WINDOW,
-                                          budget=budget)
-            algo = RWB() if name == "RWB" else ECF()
-            rng = 5 if name == "RWB" else None
+    def test_thread_shards_match_serial(self, name):
+        """Any executor can carry the shards: a caller-supplied thread pool
+        decodes the same pickled group a process worker would."""
+        query, hosting = random_workload(23, min_hosts=10, max_hosts=12)
+        budget = Budget(max_results=10 ** 6) if name == "RWB" else Budget()
+        request = SearchRequest.build(query, hosting, constraint=WINDOW,
+                                      budget=budget)
+        algo = ENGINES[name][0]()
+        rng = 5 if name == "RWB" else None
+        with ThreadPoolExecutor(max_workers=2) as pool:
             serial = algo.prepare(request).execute(rng=rng)
             sharded = algo.prepare(request).execute(parallelism=2, pool=pool,
                                                     rng=rng)
-            assert observables(serial) == observables(sharded)
-            assert not parallel._INPROC_GROUPS  # popped when the run ended
-        finally:
-            pool.shutdown()
-
-    def test_invalid_shard_backend_rejected(self, monkeypatch):
-        from repro.core import parallel
-
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "fibers")
-        with pytest.raises(ValueError):
-            parallel.shard_backend()
+        assert observables(serial) == observables(sharded)
 
 
 # --------------------------------------------------------------------------- #
-# Backend selection
+# Kernel-plan cache
 # --------------------------------------------------------------------------- #
 
-class TestBackendSelection:
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "legacy")
-        assert kernel._init_from_env() == "legacy"
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert kernel._init_from_env() == "python"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert kernel._init_from_env() in ("python", "numba")
-
-    def test_invalid_env_warns_and_uses_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = kernel._init_from_env()
-        assert backend in ("python", "numba")
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-
-    def test_forced_restores_previous_backend(self):
-        before = kernel.active_backend()
-        with kernel.forced("legacy"):
-            assert kernel.active_backend() == "legacy"
-        assert kernel.active_backend() == before
-
-    def test_require_backend(self):
-        kernel.require_backend(kernel.active_backend())
-        with pytest.raises(RuntimeError):
-            with kernel.forced("legacy"):
-                kernel.require_backend("numba")
-
-    @pytest.mark.skipif(kernel.HAVE_NUMBA, reason="numba is installed")
-    def test_numba_request_without_numba_warns_and_falls_back(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with kernel.forced("numba"):
-                assert kernel.active_backend() == "python"
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-
-    def test_legacy_backend_skips_plan(self):
-        from repro.core import build_filters
-        from repro.core.base import placed_neighbor_plan
-
-        query, hosting = random_workload(3)
-        filters = build_filters(query, hosting, WINDOW, None)
-        order = sorted(query.nodes(), key=str)
-        prior = placed_neighbor_plan(query, order)
-        with kernel.forced("legacy"):
-            assert kernel.plan_for(filters, order, prior) is None
-        with kernel.forced("python"):
-            assert kernel.plan_for(filters, order, prior) is not None
-
+class TestKernelPlanCache:
     def test_plan_cache_invalidation_on_order_change(self):
         from repro.core import build_filters
         from repro.core.base import placed_neighbor_plan
@@ -236,14 +178,13 @@ class TestBackendSelection:
         filters = build_filters(query, hosting, WINDOW, None)
         order = sorted(query.nodes(), key=str)
         prior = placed_neighbor_plan(query, order)
-        with kernel.forced("python"):
-            first = kernel.plan_for(filters, order, prior)
-            assert kernel.plan_for(filters, order, prior) is first  # cached
-            reordered = list(reversed(order))
-            re_prior = placed_neighbor_plan(query, reordered)
-            second = kernel.plan_for(filters, reordered, re_prior)
-            assert second is not first
-            assert second.order == tuple(reordered)
+        first = kernel.plan_for(filters, order, prior)
+        assert kernel.plan_for(filters, order, prior) is first  # cached
+        reordered = list(reversed(order))
+        re_prior = placed_neighbor_plan(query, reordered)
+        second = kernel.plan_for(filters, reordered, re_prior)
+        assert second is not first
+        assert second.order == tuple(reordered)
 
     def test_plan_cache_invalidation_on_prior_change(self):
         from repro.core import build_filters
@@ -254,44 +195,20 @@ class TestBackendSelection:
         order = sorted(query.nodes(), key=str)
         prior = placed_neighbor_plan(query, order)
         assert any(prior)   # the workload has placed-neighbour slots
-        with kernel.forced("python"):
-            first = kernel.plan_for(filters, order, prior)
-            # Same order, different prior: the cached plan's cell tables
-            # would be stale — the cache must miss.
-            blank = [tuple()] * len(order)
-            second = kernel.plan_for(filters, order, blank)
-            assert second is not first
-            assert second.prior == tuple(blank)
+        first = kernel.plan_for(filters, order, prior)
+        # Same order, different prior: the cached plan's cell tables
+        # would be stale — the cache must miss.
+        blank = [tuple()] * len(order)
+        second = kernel.plan_for(filters, order, blank)
+        assert second is not first
+        assert second.prior == tuple(blank)
 
 
 # --------------------------------------------------------------------------- #
-# Patched filters keep their word tables fresh
+# Patched snapshots keep their word rows aligned through the pickle format
 # --------------------------------------------------------------------------- #
 
 class TestPatchedWordParity:
-    def test_patch_carries_word_tables(self):
-        from repro.core import build_filters
-        from repro.core.filters import patch_filters
-
-        query, hosting = random_workload(9, min_hosts=8, max_hosts=8)
-        filters = build_filters(query, hosting, WINDOW, None)
-        base_words = filters.words()
-        epoch = hosting.mutation_count
-        edges = list(hosting.edges())
-        u, v = edges[0][0], edges[0][1]
-        hosting.update_edge(u, v, avgDelay=1000.0)
-        delta = hosting.delta_since(epoch)
-        assert delta is not None and delta.attrs_only
-        patched = patch_filters(filters, query, hosting, WINDOW, None,
-                                delta=delta, max_row_fraction=1.0)
-        if patched is None:
-            pytest.skip("patch fell back to rebuild on this workload")
-        words = patched.words()
-        assert words is not base_words
-        assert words.match.to_masks() == patched.match_masks
-        assert words.non_match.to_masks() == patched.non_match_masks
-        assert words.node_candidates.to_masks() == patched.node_candidate_masks
-
     @staticmethod
     def _reorder_workload(flip: bool):
         """Six hosts where h0's only in-window edge swaps under churn."""
@@ -317,9 +234,10 @@ class TestPatchedWordParity:
         # A patch that empties a cell deletes its key; a later row in the
         # SAME patch can re-set the cell, re-inserting the key at the end
         # of the dict — identical key set, different enumeration order.
-        # KernelPlan assigns kernel row ids from dict enumeration order, so
-        # the carried word table must follow the new order exactly or the
-        # numba backend intersects the wrong match masks.
+        # Kernel row ids come from dict enumeration order, and the pickle
+        # format packs every mask dict into a word table, so the round trip
+        # must keep both the masks and the key order of the patched
+        # snapshot, and still equal a fresh build.
         from repro.core import build_filters
         from repro.core.filters import patch_filters
 
@@ -327,7 +245,6 @@ class TestPatchedWordParity:
         for flip in (False, True):
             query, hosting = self._reorder_workload(flip)
             filters = build_filters(query, hosting, WINDOW, None)
-            filters.words()     # materialise so the patch carries tables
             base_order = list(filters.match_masks)
             epoch = hosting.mutation_count
             # Swap which h0 edge satisfies the window: h0's cells empty
@@ -342,13 +259,20 @@ class TestPatchedWordParity:
                                     delta=delta, max_row_fraction=1.0)
             assert patched is not None
             reordered_any |= list(patched.match_masks) != base_order
-            words = patched.words()
-            assert tuple(words.match.keys) == tuple(patched.match_masks)
-            assert (list(words.match.to_masks().items())
-                    == list(patched.match_masks.items()))
-            assert (list(words.non_match.to_masks().items())
-                    == list(patched.non_match_masks.items()))
+            clone = pickle.loads(pickle.dumps(patched))
+            for field in ("match_masks", "non_match_masks",
+                          "node_candidate_masks", "node_allowed_masks"):
+                assert (list(getattr(clone, field).items())
+                        == list(getattr(patched, field).items()))
             rebuilt = build_filters(query, hosting, WINDOW, None)
-            assert patched.match_masks == rebuilt.match_masks
-            assert patched.node_candidate_masks == rebuilt.node_candidate_masks
+            assert clone.match_masks == rebuilt.match_masks
+            assert clone.non_match_masks == rebuilt.non_match_masks
+            assert clone.node_candidate_masks == rebuilt.node_candidate_masks
+            # Searching the clone rebuilds its kernel plan from the
+            # unpickled key order; the stream must still match the oracle.
+            request = SearchRequest.build(query, hosting, constraint=WINDOW)
+            plan = ECF().prepare(request)
+            plan.prepared.filters = clone
+            assert (observables(plan.execute())
+                    == observables(ReferenceECF().request(request)))
         assert reordered_any    # the churn really moved a key's position

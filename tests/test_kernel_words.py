@@ -1,33 +1,35 @@
-"""The word-array mask backing: encoding, tables, pickling, boundaries.
+"""Word-array mask packing: encoding, tables, pickling, boundaries.
 
-The kernel refactor re-backs every ``FilterMatrices`` mask as a numpy
-``uint64`` word array behind the existing accessor API.  This suite pins
-the encoding itself (bit *i* lives in word ``i // 64``), the boundary
-cases the word width introduces (exactly 64 hosts, 65, multiples of 64,
-all-zero and all-one words, removals that empty a trailing word), and the
-pickling contract: shipped word tables are private copies, never views
-aliasing the parent's buffers, and compiled-kernel handles never travel.
+Mask dicts cross process boundaries packed into numpy ``uint64`` word
+tables.  This suite pins the encoding itself (bit *i* lives in word
+``i // 64``), the boundary cases the word width introduces (exactly 64
+hosts, 65, multiples of 64, all-zero and all-one words, removals that empty
+a trailing word) — where the kernel search must still equal the recursive
+reference engines — and the pickling contract: shipped word tables are
+private copies, never views aliasing the parent's buffers, and kernel plans
+never travel.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-import warnings
 
 import pytest
 
 from repro.constraints import ConstraintExpression
 from repro.constraints.vectorizer import HAVE_NUMPY, np
-from repro.core import ECF, build_filters
+from repro.api import SearchRequest
+from repro.api.request import Budget
+from repro.core import ECF, RWB, build_filters
 from repro.core import kernel
-from repro.core.indexing import WORD_BITS, word_count
+from repro.core.reference import ReferenceECF, ReferenceRWB
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
 if HAVE_NUMPY:
-    from repro.core.words import (WordTable, mask_to_words, pack_masks,
-                                  unpack_masks, words_to_mask)
+    from repro.core.words import (WORD_BITS, WordTable, pack_masks,
+                                  unpack_masks, word_count)
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
                                 reason="word arrays require numpy")
@@ -39,6 +41,16 @@ WINDOW = ConstraintExpression(
 # --------------------------------------------------------------------------- #
 # Encoding round-trips
 # --------------------------------------------------------------------------- #
+
+def mask_to_words(mask: int, num_words: int):
+    """One mask as a single packed row."""
+    return pack_masks([mask], num_words)[0]
+
+
+def words_to_mask(row) -> int:
+    """One packed row back to its mask."""
+    return unpack_masks([row])[0]
+
 
 class TestWordEncoding:
     @pytest.mark.parametrize("num_bits", [1, 63, 64, 65, 128, 130])
@@ -74,7 +86,7 @@ class TestWordEncoding:
         assert int(row[1]) == 1 << (70 - 64)
 
     def test_negative_mask_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OverflowError):
             mask_to_words(-1, 1)
 
     def test_too_wide_mask_rejected(self):
@@ -99,34 +111,7 @@ class TestWordTable:
         table = WordTable.from_masks(masks, num_bits=65)
         assert table.to_masks() == masks
         assert list(table.to_masks()) == list(masks)  # insertion order kept
-        assert table.mask_of(("q1", "h0")) == 0
-        assert table.row_of(("missing",)) == -1
-
-    def test_updated_rewrites_rows_in_place(self):
-        masks = {"a": 1, "b": 2, "c": 3}
-        table = WordTable.from_masks(masks, num_bits=8)
-        masks2 = {"a": 1, "b": 7, "c": 3}
-        patched = table.updated(masks2, touched={"b"})
-        assert patched.to_masks() == masks2
-        assert table.to_masks() == masks  # original untouched
-
-    def test_updated_key_set_change_falls_back_to_rebuild(self):
-        table = WordTable.from_masks({"a": 1, "b": 2}, num_bits=8)
-        patched = table.updated({"a": 1, "b": 2, "c": 4}, touched={"c"})
-        assert patched.to_masks() == {"a": 1, "b": 2, "c": 4}
-
-    def test_updated_key_reorder_falls_back_to_rebuild(self):
-        # A patch can empty a cell (its key is deleted) and re-set it later
-        # in the same pass, re-inserting the key at the end of the dict:
-        # identical key *set*, different order.  Row ids downstream
-        # (KernelPlan) come from dict enumeration order, so the fast path
-        # must rebuild rather than carry the stale row order.
-        table = WordTable.from_masks({"a": 1, "b": 2, "c": 3}, num_bits=8)
-        reordered = {"a": 1, "c": 3, "b": 4}   # "b" deleted, re-set at end
-        patched = table.updated(reordered, touched={"b"})
-        assert list(patched.to_masks()) == ["a", "c", "b"]
-        assert patched.to_masks() == reordered
-        assert [patched.row_of(k) for k in reordered] == [0, 1, 2]
+        assert table.to_masks()[("q1", "h0")] == 0
 
     def test_pickle_copies_storage(self):
         table = WordTable.from_masks({"a": 3, "b": 1 << 64}, num_bits=70)
@@ -166,11 +151,18 @@ def search_signature(result):
     )
 
 
-def ecf_search(query, hosting, backend):
-    with kernel.forced(backend):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return ECF().search(query, hosting, constraint=WINDOW)
+def ecf_search(query, hosting, oracle: bool = False):
+    """Full ECF enumeration via the kernel, or via the reference oracle."""
+    algo = ReferenceECF() if oracle else ECF()
+    return algo.request(SearchRequest.build(query, hosting, constraint=WINDOW))
+
+
+def rwb_search(query, hosting, oracle: bool = False, seed: int = 17):
+    """Seeded 50-result RWB sample via the kernel walk or the oracle walk."""
+    algo = ReferenceRWB() if oracle else RWB()
+    request = SearchRequest.build(query, hosting, constraint=WINDOW,
+                                  budget=Budget(max_results=50))
+    return algo.prepare(request).execute(rng=seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -180,20 +172,25 @@ def ecf_search(query, hosting, backend):
 class TestWordBoundaries:
     @pytest.mark.parametrize("num_hosts", [63, 64, 65, 128])
     def test_kernel_matches_legacy_at_boundary(self, num_hosts):
+        # The legacy engine is the recursive pre-bitset oracle.
         query, hosting = ring_workload(num_hosts)
-        legacy = ecf_search(query, hosting, "legacy")
-        fast = ecf_search(query, hosting, "python")
-        assert search_signature(legacy) == search_signature(fast)
-        assert legacy.mappings  # the workload is feasible, not vacuous
+        reference = ecf_search(query, hosting, oracle=True)
+        fast = ecf_search(query, hosting)
+        assert search_signature(reference) == search_signature(fast)
+        assert reference.mappings  # the workload is feasible, not vacuous
+        assert (search_signature(rwb_search(query, hosting, oracle=True))
+                == search_signature(rwb_search(query, hosting)))
 
     @pytest.mark.parametrize("num_hosts", [64, 65])
     def test_filter_words_round_trip_at_boundary(self, num_hosts):
         query, hosting = ring_workload(num_hosts)
         filters = build_filters(query, hosting, WINDOW, None)
-        words = filters.words()
-        assert words.match.num_words == word_count(num_hosts)
-        assert words.match.to_masks() == filters.match_masks
-        assert words.node_candidates.to_masks() == filters.node_candidate_masks
+        num_bits = len(filters.host_indexer)
+        match = WordTable.from_masks(filters.match_masks, num_bits)
+        nodes = WordTable.from_masks(filters.node_candidate_masks, num_bits)
+        assert match.words.shape[1] == word_count(num_hosts)
+        assert match.to_masks() == filters.match_masks
+        assert nodes.to_masks() == filters.node_candidate_masks
 
     def test_all_one_and_all_zero_words(self):
         # A trivially-true constraint makes every candidate mask all-ones
@@ -212,21 +209,25 @@ class TestWordBoundaries:
         assert all(mask == 0 for mask in never.match_masks.values())
         # Both extremes survive the word round-trip.
         for filters in (always, never):
-            assert filters.words().match.to_masks() == filters.match_masks
+            table = WordTable.from_masks(filters.match_masks,
+                                         len(filters.host_indexer))
+            assert table.to_masks() == filters.match_masks
 
     def test_node_removal_empties_trailing_word(self):
         # 65 hosts: h64 is alone in the second word.  Remove it and rebuild;
         # the shrunken table must stay consistent with the kernel search.
         query, hosting = ring_workload(65)
-        before = ecf_search(query, hosting, "python")
+        before = ecf_search(query, hosting)
         assert before.mappings
         hosting.remove_node("h64")
         hosting.add_edge("h63", "h0", avgDelay=10.0)
         filters = build_filters(query, hosting, WINDOW, None)
-        assert filters.words().match.num_words == word_count(64)
-        legacy = ecf_search(query, hosting, "legacy")
-        fast = ecf_search(query, hosting, "python")
-        assert search_signature(legacy) == search_signature(fast)
+        table = WordTable.from_masks(filters.match_masks,
+                                     len(filters.host_indexer))
+        assert table.words.shape[1] == word_count(64)
+        reference = ecf_search(query, hosting, oracle=True)
+        fast = ecf_search(query, hosting)
+        assert search_signature(reference) == search_signature(fast)
 
 
 # --------------------------------------------------------------------------- #
@@ -237,7 +238,6 @@ class TestPickleHygiene:
     def test_filters_round_trip(self):
         query, hosting = ring_workload(65)
         filters = build_filters(query, hosting, WINDOW, None)
-        filters.words()  # populate the cache that __getstate__ must strip
         clone = pickle.loads(pickle.dumps(filters))
         assert clone.match_masks == filters.match_masks
         assert clone.non_match_masks == filters.non_match_masks
@@ -247,13 +247,14 @@ class TestPickleHygiene:
     def test_filters_pickle_shares_no_memory(self):
         query, hosting = ring_workload(65)
         filters = build_filters(query, hosting, WINDOW, None)
-        parent_words = filters.words()
-        clone = pickle.loads(pickle.dumps(filters))
-        clone_words = clone.words()
-        assert not np.shares_memory(parent_words.match.words,
-                                    clone_words.match.words)
-        assert not np.shares_memory(parent_words.node_candidates.words,
-                                    clone_words.node_candidates.words)
+        state = filters.__getstate__()
+        clone_state = pickle.loads(pickle.dumps(state))
+        for name in ("match_masks", "node_candidate_masks"):
+            assert isinstance(state[name], WordTable)
+            assert not np.shares_memory(state[name].words,
+                                        clone_state[name].words)
+        # Packing on the fly leaves the live snapshot's dicts untouched.
+        assert isinstance(filters.match_masks, dict)
 
     def test_filters_pickle_drops_kernel_plan(self):
         from repro.core.base import placed_neighbor_plan
@@ -261,9 +262,8 @@ class TestPickleHygiene:
         query, hosting = ring_workload(24)
         filters = build_filters(query, hosting, WINDOW, None)
         order = sorted(query.nodes(), key=str)
-        with kernel.forced("python"):
-            plan = kernel.plan_for(filters, order,
-                                   placed_neighbor_plan(query, order))
+        plan = kernel.plan_for(filters, order,
+                               placed_neighbor_plan(query, order))
         assert plan is not None
         assert getattr(filters, "_kernel_plan", None) is plan
         clone = pickle.loads(pickle.dumps(filters))
@@ -293,8 +293,6 @@ class TestPickleHygiene:
             Network._DERIVED_CACHE_ATTRS = original
 
     def test_prepared_search_round_trip(self):
-        from repro.api import SearchRequest
-
         query, hosting = ring_workload(65)
         request = SearchRequest.build(query, hosting, constraint=WINDOW)
         plan = ECF().prepare(request)

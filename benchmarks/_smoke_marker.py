@@ -1,7 +1,7 @@
 """The ``smoke`` pytest marker, importable without pytest installed.
 
 The script-style benchmarks (``bench_perf_core.py`` / ``bench_plan_cache.py``
-/ ``bench_parallel.py``) double as pytest smoke tests — ``pytest benchmarks
+and the others) double as pytest smoke tests — ``pytest benchmarks
 -m smoke`` runs each of them end to end at tiny scale.  The CI perf-smoke
 job, however, runs them as plain scripts in an environment without pytest,
 so the marker degrades to a no-op decorator there.

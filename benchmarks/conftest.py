@@ -24,7 +24,7 @@ def pytest_configure(config) -> None:
     """Register the smoke marker and guarantee the results directory.
 
     ``smoke`` marks the tiny-scale pytest entry points of the script-style
-    benchmarks (bench_perf_core / bench_plan_cache / bench_parallel), so
+    benchmarks (bench_perf_core, bench_plan_cache, ...), so
     ``pytest benchmarks -m smoke`` exercises every benchmark end to end in
     seconds.  The results directory is created here too — committed
     artifacts live in it, but a fresh clone running a benchmark that writes

@@ -89,22 +89,6 @@ class Budget:
 UNLIMITED = Budget()
 
 
-def validate_parallelism(value: Optional[int]) -> Optional[int]:
-    """Validate a parallelism knob (``None`` or an int >= 1); returns it.
-
-    Shared by :class:`SearchRequest` and the service's ``QuerySpec`` so the
-    two surfaces cannot drift in what they accept.
-    """
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(
-            f"parallelism must be an int or None, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"parallelism must be >= 1 or None, got {value}")
-    return value
-
-
 def coerce_constraint(value: ConstraintLike, *,
                       default_true: bool) -> Optional[ConstraintExpression]:
     """Accept ``None``, a source string or a ConstraintExpression uniformly."""
@@ -172,12 +156,6 @@ class SearchRequest:
         preserved: "no node constraint" is cheaper than an always-true one).
     budget:
         Timeout and result-cap limits (:data:`UNLIMITED` by default).
-    parallelism:
-        Shard the search stage across this many process-pool workers
-        (``None``/``1`` = serial).  An execution concern like the budget:
-        the mapping stream is identical either way, so it is excluded from
-        :meth:`fingerprint` and plans compiled from this request serve any
-        parallelism.
     """
 
     query: QueryNetwork
@@ -186,7 +164,6 @@ class SearchRequest:
         default_factory=ConstraintExpression.always_true)
     node_constraint: Optional[ConstraintExpression] = None
     budget: Budget = UNLIMITED
-    parallelism: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.query, QueryNetwork):
@@ -203,7 +180,6 @@ class SearchRequest:
         if not isinstance(self.budget, Budget):
             raise TypeError(
                 f"budget must be a Budget, got {type(self.budget).__name__}")
-        validate_parallelism(self.parallelism)
         # Coerce the constraints in place (frozen dataclass => object.__setattr__).
         object.__setattr__(self, "constraint",
                            coerce_constraint(self.constraint, default_true=True))
@@ -219,8 +195,7 @@ class SearchRequest:
               node_constraint: ConstraintLike = None,
               timeout: Optional[float] = None,
               max_results: Optional[int] = None,
-              budget: Optional[Budget] = None,
-              parallelism: Optional[int] = None) -> "SearchRequest":
+              budget: Optional[Budget] = None) -> "SearchRequest":
         """Construct a request from the legacy keyword-argument surface.
 
         ``budget`` and the flat ``timeout``/``max_results`` pair are mutually
@@ -233,8 +208,7 @@ class SearchRequest:
         else:
             budget = Budget(timeout=timeout, max_results=max_results)
         return cls(query=query, hosting=hosting, constraint=constraint,
-                   node_constraint=node_constraint, budget=budget,
-                   parallelism=parallelism)
+                   node_constraint=node_constraint, budget=budget)
 
     def replace(self, **changes) -> "SearchRequest":
         """A copy of this request with *changes* applied (re-validated)."""

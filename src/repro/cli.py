@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop after this many embeddings (default: all)")
     embed.add_argument("--seed", type=int, default=None,
                        help="random seed (only used by seedable algorithms)")
-    embed.add_argument("--parallelism", type=int, default=None,
-                       help="shard the search across this many worker "
-                            "processes (same mapping stream as serial; "
-                            "default: serial)")
     embed.add_argument("--json", action="store_true",
                        help="print the result as JSON instead of plain text")
 
@@ -354,8 +350,7 @@ def _run_embed(args: argparse.Namespace) -> int:
 
     result = algorithm.request(SearchRequest.build(
         query, hosting, constraint=constraint, node_constraint=node_constraint,
-        timeout=args.timeout, max_results=args.max_results,
-        parallelism=args.parallelism))
+        timeout=args.timeout, max_results=args.max_results))
 
     if args.json:
         print(json.dumps(_result_payload(result), indent=2))
@@ -408,7 +403,6 @@ def _run_batch(args: argparse.Namespace) -> int:
                 timeout=entry.get("timeout"),
                 max_results=entry.get("max_results"),
                 seed=entry.get("seed"),
-                parallelism=entry.get("parallelism"),
             ))
         responses = service.submit_batch(specs)
 

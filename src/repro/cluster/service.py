@@ -224,14 +224,12 @@ class ClusterService:
               node_constraint: Optional[Union[str, ConstraintExpression]] = None,
               algorithm: str = "auto", timeout: Optional[float] = None,
               max_results: Optional[int] = None, network: Optional[str] = None,
-              reserve: bool = False, seed: Optional[int] = None,
-              parallelism: Optional[int] = None) -> EmbeddingResponse:
+              reserve: bool = False, seed: Optional[int] = None) -> EmbeddingResponse:
         """Keyword-style convenience wrapper around :meth:`submit`."""
         spec = QuerySpec(query=query, constraint=constraint,
                          node_constraint=node_constraint, algorithm=algorithm,
                          timeout=timeout, max_results=max_results,
-                         network=network, reserve=reserve, seed=seed,
-                         parallelism=parallelism)
+                         network=network, reserve=reserve, seed=seed)
         return self.submit(spec)
 
     def stream(self, spec: QuerySpec, buffer_size: int = 1

@@ -162,8 +162,6 @@ class ConstraintExpression:
         closures (unpicklable, and process-local anyway); unpickling
         re-parses and re-compiles from source, which round-trips exactly —
         the AST-constructed path stores its own ``unparse()`` as source.
-        Needed so plans and requests can ship to the shard worker processes
-        of :mod:`repro.core.parallel`.
         """
         return {"source": self._source, "strict": self._strict}
 

@@ -12,10 +12,10 @@ Public surface:
   exposed for tests, ablations and diagnostics;
 * :class:`EmbeddingPlan` / :class:`PlanCache` — the two-phase
   prepare/execute surface: compiled, reusable plans and the version-aware
-  LRU cache the service routes repeated traffic through;
-* :func:`make_pool` / :func:`shared_pool` / :func:`shutdown_shared_pool` —
-  the process pools behind ``execute(parallelism=N)``, the sharded parallel
-  engine of :mod:`repro.core.parallel`.
+  LRU cache the service routes repeated traffic through.
+
+Every search runs serially on one thread: ECF and RWB on the explicit-stack
+kernel of :mod:`repro.core.kernel`, LNS on its recursive extension.
 """
 
 from repro.api.registry import UnknownAlgorithmError, default_registry
@@ -46,15 +46,6 @@ from repro.core.repair import (
     RepairStats,
     repair_mapping,
     violated_query_nodes,
-)
-from repro.core.parallel import (
-    DEFAULT_SHARD_FACTOR,
-    PlanShard,
-    ShardOutcome,
-    make_pool,
-    shared_pool,
-    shutdown_shared_pool,
-    split_contiguous,
 )
 from repro.core.ordering import (
     ORDERINGS,
@@ -118,13 +109,6 @@ __all__ = [
     "PlanCacheEntry",
     "PlanInvalidatedError",
     "PreparedSearch",
-    "DEFAULT_SHARD_FACTOR",
-    "PlanShard",
-    "ShardOutcome",
-    "make_pool",
-    "shared_pool",
-    "shutdown_shared_pool",
-    "split_contiguous",
     "ORDERINGS",
     "candidate_count_order",
     "connectivity_aware_order",

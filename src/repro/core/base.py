@@ -13,6 +13,10 @@ under one deadline.  The historical keyword surface
 a request, so existing call sites keep working; :meth:`iter_mappings` streams
 embeddings lazily instead of materializing the full result list.
 
+Every execute takes one serial path: :meth:`EmbeddingAlgorithm._drive`
+credits the prepared artifacts and calls the algorithm's
+:meth:`~EmbeddingAlgorithm._run_prepared` on the calling thread.
+
 The :class:`SearchContext` object carries the per-search mutable state
 (deadline, statistics, the embeddings discovered so far, time-to-first
 bookkeeping) so the algorithm implementations stay small and uniform, and so
@@ -246,8 +250,7 @@ class EmbeddingAlgorithm(abc.ABC):
 
     def request(self, request: SearchRequest,
                 on_mapping: Optional[Callable[[Mapping], None]] = None,
-                cancel: Optional[threading.Event] = None,
-                pool=None) -> EmbeddingResult:
+                cancel: Optional[threading.Event] = None) -> EmbeddingResult:
         """Search for feasible embeddings described by *request*.
 
         Equivalent to preparing a plan and executing it once, except that the
@@ -258,20 +261,13 @@ class EmbeddingAlgorithm(abc.ABC):
         ----------
         request:
             The validated request object (query, hosting, constraints,
-            budget).  A request carrying ``parallelism > 1`` runs its search
-            stage on the sharded process-pool engine
-            (:mod:`repro.core.parallel`); the mapping stream is identical to
-            a serial run.
+            budget).
         on_mapping:
             Optional observer called with each embedding as it is found;
             this is how :meth:`iter_mappings` streams results.
         cancel:
             Optional event aborting the search (via :class:`StreamClosed`)
             at its next deadline check; set by a departing stream consumer.
-        pool:
-            Optional :class:`~concurrent.futures.ProcessPoolExecutor` for
-            the sharded engine (``None`` = the module-wide shared pool);
-            only consulted when the request asks for parallelism.
 
         Returns
         -------
@@ -279,8 +275,7 @@ class EmbeddingAlgorithm(abc.ABC):
         """
         self._require_request(request)
         return self._drive(request, prepared=None, budget=request.budget,
-                           on_mapping=on_mapping, cancel=cancel, rng=None,
-                           pool=pool)
+                           on_mapping=on_mapping, cancel=cancel, rng=None)
 
     # ------------------------------------------------------------------ #
     # The two-phase prepare/execute API
@@ -422,17 +417,13 @@ class EmbeddingAlgorithm(abc.ABC):
                 f"use search(...) for the keyword-argument surface")
 
     def _drive(self, request: SearchRequest, prepared: Optional[PreparedSearch],
-               budget: Budget, on_mapping, cancel, rng,
-               parallelism: Optional[int] = None, pool=None) -> EmbeddingResult:
+               budget: Budget, on_mapping, cancel, rng) -> EmbeddingResult:
         """Shared execution shell behind :meth:`request` and plan executes.
 
         When *prepared* is ``None`` the compile stage runs here, under the
         same deadline as the search (the historical one-shot behaviour);
         otherwise the precompiled artifacts are credited to the run's
-        statistics and only the tree search executes.  *parallelism* ``None``
-        defers to the request's own setting; a value above one routes the
-        search stage through the sharded engine when the algorithm supports
-        root-candidate sharding.
+        statistics and only the tree search executes.
         """
         context = SearchContext(
             query=request.query,
@@ -465,8 +456,6 @@ class EmbeddingAlgorithm(abc.ABC):
         if screen == "infeasible":
             return self._finalise(context, exhausted=True, timed_out=False)
 
-        if parallelism is None:
-            parallelism = request.parallelism
         timed_out = False
         try:
             if prepared is None:
@@ -474,11 +463,6 @@ class EmbeddingAlgorithm(abc.ABC):
             self._credit_prepared(context, prepared)
             if prepared.infeasible:
                 exhausted = True
-            elif (parallelism is not None and parallelism > 1
-                  and self.supports_sharding):
-                from repro.core.parallel import run_sharded
-                exhausted = run_sharded(self, context, prepared, parallelism,
-                                        pool=pool)
             else:
                 exhausted = self._run_prepared(context, prepared)
         except TimeoutExpired:
@@ -575,18 +559,17 @@ class EmbeddingAlgorithm(abc.ABC):
             max_results=max_results)
         return self.stream(request, buffer_size=buffer_size)
 
-    def stream(self, request: SearchRequest, buffer_size: int = 1,
-               pool=None) -> Iterator[Mapping]:
+    def stream(self, request: SearchRequest, buffer_size: int = 1
+               ) -> Iterator[Mapping]:
         """Generator form of :meth:`request`: lazily yields each Mapping."""
         if buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
-        return self._stream(request, buffer_size, pool)
+        return self._stream(request, buffer_size)
 
-    def _stream(self, request: SearchRequest, buffer_size: int,
-                pool=None) -> Iterator[Mapping]:
+    def _stream(self, request: SearchRequest, buffer_size: int
+                ) -> Iterator[Mapping]:
         def run(push, closed):
-            return self.request(request, on_mapping=push, cancel=closed,
-                                pool=pool)
+            return self.request(request, on_mapping=push, cancel=closed)
 
         return pump_mapping_stream(run, f"{self.name}-stream", buffer_size)
 
@@ -620,55 +603,6 @@ class EmbeddingAlgorithm(abc.ABC):
         delegates to :meth:`_run`.
         """
         return self._run(context)
-
-    # ------------------------------------------------------------------ #
-    # Root-candidate sharding (the parallel execution engine)
-    # ------------------------------------------------------------------ #
-
-    #: Whether this algorithm can split its search space into independent
-    #: root-candidate shards (see :mod:`repro.core.parallel`).  Algorithms
-    #: that cannot still accept ``parallelism`` in requests — they simply run
-    #: serially.
-    supports_sharding: bool = False
-
-    #: Whether a shard needs the networks and constraint expressions in the
-    #: worker process.  ECF/RWB bake the constraints into their filter
-    #: bitmasks at prepare time and override this to ``False``, which keeps
-    #: the pickled payload down to the compiled artifacts.
-    _shard_ships_networks: bool = True
-
-    def _shard_specs(self, context: SearchContext, prepared: PreparedSearch,
-                     shards: int) -> Optional[List]:
-        """Split the search space into at most *shards* picklable specs.
-
-        The specs must be contiguous slices of the exact order in which
-        :meth:`_run_prepared` would explore the space (root candidates, or
-        deeper assignment prefixes), so that executing them in list order
-        reproduces the serial mapping stream.  Implementations that consume
-        the run's random stream here (RWB) must consume it exactly as the
-        serial path does.  ``None`` means "not shardable for this plan";
-        the engine then falls back to :meth:`_run_prepared`.
-
-        **Statistics convention**: work shared by every shard — the root (or
-        prefix-tree) expansions performed while splitting — is counted here,
-        once, into the parent's ``context.stats``, exactly as a serial run
-        counts it; :meth:`_run_shard` then counts only its shard-exclusive
-        subtree work.  The merged counters of a full enumeration are thereby
-        identical to serial.  An empty list is a valid split: it means the
-        split itself already explored (and fully accounted) the space.
-        """
-        return None
-
-    def _run_shard(self, context: SearchContext, prepared: PreparedSearch,
-                   spec) -> bool:
-        """Run the search restricted to one shard's slice of the space.
-
-        Contract as :meth:`_run_prepared`; statistics cover only this
-        shard's own subtree work (see :meth:`_shard_specs`).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares supports_sharding but does not "
-            f"implement _run_shard()")
 
     def _run(self, context: SearchContext) -> bool:
         """Perform the search, populating ``context.mappings``.

@@ -21,7 +21,8 @@ explicit-stack loop of :mod:`repro.core.kernel` (one Python frame total)
 instead of one interpreter frame per query node.  Candidates are tried in
 ascending bit order, which is the ``sorted(key=str)`` order of the recursive
 set-based oracle (:class:`repro.core.reference.ReferenceECF`), so the two
-mapping streams are identical.
+mapping streams are identical.  The search is serial: one execute walks the
+whole permutations tree on the calling thread.
 
 Because the search only prunes branches that provably contain no feasible
 completion, ECF is complete (it finds every embedding, given enough time) and
@@ -30,16 +31,15 @@ correct (everything it reports is feasible).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.api.registry import Capability, register_algorithm
 from repro.api.request import SearchRequest
 from repro.core import kernel
 from repro.core.base import EmbeddingAlgorithm, SearchContext, placed_neighbor_plan
-from repro.core.filters import FilterMatrices, build_filters
+from repro.core.filters import build_filters
 from repro.core.ordering import ORDERINGS
 from repro.core.plan import PreparedSearch
-from repro.graphs.network import NodeId
 from repro.utils.timing import Deadline
 
 
@@ -73,10 +73,6 @@ class ECF(EmbeddingAlgorithm):
 
     name = "ECF"
     supports_prepare = True
-    supports_sharding = True
-    #: Constraints are baked into the filter bitmasks at prepare time; a
-    #: shard needs nothing beyond the compiled artifacts.
-    _shard_ships_networks = False
 
     def __init__(self, ordering: str = "connectivity",
                  record_non_matches: bool = True) -> None:
@@ -128,111 +124,8 @@ class ECF(EmbeddingAlgorithm):
 
     def _run_prepared(self, context: SearchContext,
                       prepared: PreparedSearch) -> bool:
-        return self._search(context, prepared.filters, prepared.order,
-                            prepared.prior)
-
-    # -- sharding: contiguous blocks of assignment prefixes --------------- #
-
-    def _shard_specs(self, context: SearchContext, prepared: PreparedSearch,
-                     shards: int):
-        """Enumerate the prefix tree breadth-first until it is wide enough.
-
-        Lemma 1 puts the *fewest*-candidate node first, so splitting only
-        the root's candidates often yields one or two shards.  Instead the
-        split descends: level ``d`` holds every live assignment prefix over
-        ``order[:d]`` together with its (already computed) candidate mask
-        for ``order[d]``, in exactly the serial DFS order; levels expand
-        until at least *shards* prefixes exist (or the next level would be
-        the leaves).  Each expansion performed here is one the serial search
-        performs too, and is counted into the parent's stats exactly once —
-        workers then count only their own subtrees (see the statistics
-        convention on :meth:`EmbeddingAlgorithm._shard_specs`).
-        """
-        from repro.core.parallel import split_contiguous
-
-        filters = prepared.filters
-        order = prepared.order
-        prior = prepared.prior
-        match_masks = filters.match_masks
-        node_at = filters.host_indexer.node_at
-        stats = context.stats
-        n = len(order)
-
-        context.check_deadline()
-        root_mask = filters.candidates_mask_unplaced(order[0])
-        stats.nodes_expanded += 1
-        stats.candidates_considered += root_mask.bit_count()
-        if not root_mask:
-            stats.backtracks += 1
-            return []
-
-        #: (assignment over order[:depth], used_mask, candidate mask for
-        #: order[depth]) — the level is kept in serial DFS order.
-        depth = 0
-        level: List[Tuple[Dict[NodeId, NodeId], int, int]] = [({}, 0, root_mask)]
-        while len(level) < shards and depth + 1 < n:
-            context.check_deadline()
-            node = order[depth]
-            child_node = order[depth + 1]
-            child_prior = prior[depth + 1]
-            next_level: List[Tuple[Dict[NodeId, NodeId], int, int]] = []
-            for assignment, used_mask, mask in level:
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    child_assignment = dict(assignment)
-                    child_assignment[node] = node_at(low.bit_length() - 1)
-                    # Expression (2) for the child, as in _search.
-                    if not child_prior:
-                        child_mask = filters.candidates_mask_unplaced(child_node)
-                    else:
-                        child_mask = -1
-                        for neighbor in child_prior:
-                            child_mask &= match_masks.get(
-                                (neighbor, child_assignment[neighbor], child_node), 0)
-                            if not child_mask:
-                                break
-                    child_mask &= ~(used_mask | low)
-                    stats.nodes_expanded += 1
-                    stats.candidates_considered += child_mask.bit_count()
-                    if child_mask:
-                        next_level.append((child_assignment, used_mask | low,
-                                           child_mask))
-                    else:
-                        stats.backtracks += 1
-            level = next_level
-            depth += 1
-            if not level:
-                return []   # the split explored (and counted) everything
-
-        return [(depth, [(tuple(assignment.items()), used_mask, mask)
-                         for assignment, used_mask, mask in block])
-                for block in split_contiguous(level, shards)]
-
-    def _run_shard(self, context: SearchContext, prepared: PreparedSearch,
-                   spec) -> bool:
-        depth, entries = spec
-        for items, used_mask, mask in entries:
-            keep_going = self._search(context, prepared.filters,
-                                      prepared.order, prepared.prior,
-                                      start_depth=depth,
-                                      assignment=dict(items),
-                                      used_mask=used_mask, start_mask=mask)
-            if not keep_going:
-                return False
-        return True
-
-    def _search(self, context: SearchContext, filters: FilterMatrices,
-                order: List[NodeId],
-                prior: Sequence[Tuple[NodeId, ...]],
-                start_depth: int = 0,
-                assignment: Optional[Dict[NodeId, NodeId]] = None,
-                used_mask: int = 0,
-                start_mask: Optional[int] = None) -> bool:
         """Depth-first expansion over bitmask candidates (see
         :func:`repro.core.kernel.ecf_search`); ``False`` iff the search
         stopped early on the result cap."""
-        return kernel.ecf_search(context, kernel.plan_for(filters, order, prior),
-                                 start_depth=start_depth,
-                                 assignment=assignment, used_mask=used_mask,
-                                 start_mask=start_mask)
+        return kernel.ecf_search(context, kernel.plan_for(
+            prepared.filters, prepared.order, prepared.prior))

@@ -42,7 +42,6 @@ from repro.constraints import ConstraintExpression
 from repro.constraints.ast_nodes import referenced_attributes
 from repro.constraints.vectorizer import HAVE_NUMPY, cached_vector_kernel, np
 from repro.core.indexing import NodeIndexer
-from repro.core.words import WordTable
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.journal import NetworkDelta
 from repro.graphs.network import Edge, Network, NodeId
@@ -50,11 +49,6 @@ from repro.graphs.query import QueryNetwork
 from repro.utils.timing import Stopwatch
 
 FilterKey = Tuple[NodeId, NodeId, NodeId]
-
-
-#: The four mask dicts that travel as word tables across pickle boundaries.
-_WORD_STATE_FIELDS = ("match_masks", "non_match_masks",
-                      "node_candidate_masks", "node_allowed_masks")
 
 
 @dataclass
@@ -89,30 +83,6 @@ class FilterMatrices:
     #: hosting-arc rows they re-evaluated in total (0 = built from scratch).
     patches: int = 0
     patched_rows: int = 0
-
-    # ------------------------------------------------------------------ #
-    # Pickling: mask dicts travel as fixed-width word tables
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self):
-        """Pack the mask dicts into word tables on the fly (compact,
-        fixed-width) and never ship the derived kernel plan.  Each
-        :class:`~repro.core.words.WordTable` pickles a private array, so no
-        payload aliases this object's buffers."""
-        state = dict(self.__dict__)
-        state.pop("_kernel_plan", None)
-        if HAVE_NUMPY:
-            num_bits = len(self.host_indexer)
-            for name in _WORD_STATE_FIELDS:
-                state[name] = WordTable.from_masks(state[name], num_bits)
-        return state
-
-    def __setstate__(self, state) -> None:
-        for name in _WORD_STATE_FIELDS:
-            value = state.get(name)
-            if isinstance(value, WordTable):
-                state[name] = value.to_masks()
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -574,16 +544,7 @@ def build_filters(query: QueryNetwork, hosting: HostingNetwork,
             deadline.check()
         allowed_a = node_allowed[qa]
         allowed_b = node_allowed[qb]
-        # Pre-build one evaluation context per query edge of the pair; the
-        # inner loop only rebinds the three hosting-side slots.
-        edge_contexts = []
-        for q_source, q_target in edges_between:
-            edge_contexts.append((q_source == qa, {
-                "vEdge": query.edge_attrs(q_source, q_target),
-                "vSource": query.node_attrs(q_source),
-                "vTarget": query.node_attrs(q_target),
-                "rEdge": None, "rSource": None, "rTarget": None,
-            }))
+        edge_contexts = _edge_contexts(query, qa, edges_between)
         mask_a = node_masks.get(qa, 0)
         mask_b = node_masks.get(qb, 0)
         for ra, rb, bit_a, bit_b, attrs_ab, attrs_ba, attrs_a, attrs_b in host_pair_info:
@@ -680,6 +641,119 @@ def _query_edge_scalars(query, keys, pair_edges):
     return edge_scalars
 
 
+def _edge_contexts(query, qa, edges_between):
+    """One scalar evaluation context per query edge of the pair ``(qa, *)``.
+
+    Returns ``(forward, context)`` pairs, *forward* meaning the edge runs
+    ``qa -> qb``; the inner loops only rebind the three hosting-side slots.
+    """
+    return [(q_source == qa, {
+        "vEdge": query.edge_attrs(q_source, q_target),
+        "vSource": query.node_attrs(q_source),
+        "vTarget": query.node_attrs(q_target),
+        "rEdge": None, "rSource": None, "rTarget": None,
+    }) for q_source, q_target in edges_between]
+
+
+#: Which ``host_pair_info`` slots feed a hosting-side object, per
+#: orientation: "forward" places (rEdge, rSource, rTarget) on (ab, a, b),
+#: "backward" on (ba, b, a) — see the scalar loop of build_filters.
+_COLUMN_SOURCES = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
+
+
+class _VectorSetup:
+    """The per-query inputs of the batch constraint kernel.
+
+    Built once per filter build or patch by :func:`_vector_setup`; holds
+    the compiled kernel, the memoised hosting columns per orientation and
+    the numeric bindings of every query edge's referenced attributes.
+    """
+
+    __slots__ = ("trivial", "kernel", "env_fwd", "env_bwd", "edge_scalars")
+
+    def __init__(self, trivial, kernel, env_fwd, env_bwd, edge_scalars):
+        self.trivial = trivial
+        self.kernel = kernel
+        self.env_fwd = env_fwd
+        self.env_bwd = env_bwd
+        self.edge_scalars = edge_scalars
+
+    def select(self, selection) -> "_VectorSetup":
+        """The same setup with every hosting column sliced to *selection*."""
+        def sliced(env):
+            return {key: (values[selection], missing[selection])
+                    for key, (values, missing) in env.items()}
+        return _VectorSetup(self.trivial, self.kernel, sliced(self.env_fwd),
+                            sliced(self.env_bwd), self.edge_scalars)
+
+    def survivors(self, qa, edges_between, alive, exists_fwd, exists_bwd):
+        """Rows of one query pair surviving every edge constraint.
+
+        Replicates the scalar pass's short-circuit structure: a row dead
+        after edge *k* is not evaluated at edge *k+1*.  Returns the
+        surviving-row mask and the evaluation count.
+        """
+        evaluations = 0
+        for q_source, q_target in edges_between:
+            forward = q_source == qa
+            evaluable = alive & (exists_fwd if forward else exists_bwd)
+            if self.trivial:
+                alive = evaluable
+                continue
+            evaluations += int(np.count_nonzero(evaluable))
+            env = dict(self.env_fwd if forward else self.env_bwd)
+            env.update(self.edge_scalars[(q_source, q_target)])
+            value, bad = self.kernel(env)
+            alive = evaluable & np.logical_and(value, np.logical_not(bad))
+        return alive, evaluations
+
+
+def _vector_setup(query, constraint, pair_edges, compiled
+                  ) -> Optional[_VectorSetup]:
+    """The vectorizable-fragment checks and inputs shared by the build and
+    patch passes, or ``None`` when the workload is outside the fragment
+    (no numpy, strict mode, unsupported expression shapes, non-numeric
+    attributes) and the scalar loop must run instead."""
+    if not HAVE_NUMPY:
+        return None
+    if getattr(constraint, "strict", False):
+        return None  # strict missing-attribute errors belong to the scalar path
+    trivial = constraint.is_trivial
+    kernel = None
+    keys = []
+    if not trivial:
+        kernel = cached_vector_kernel(constraint)
+        if kernel is None:
+            return None
+        keys = referenced_attributes(constraint.ast)
+        if any(obj not in _R_OBJECTS and obj not in _V_OBJECTS
+               for obj, _ in keys):
+            return None
+
+    # One (values, missing) column pair per referenced hosting-side
+    # attribute, per orientation.
+    env_fwd = {}
+    env_bwd = {}
+    for key in keys:
+        obj, attr = key
+        if obj not in _COLUMN_SOURCES:
+            continue
+        fwd_source, bwd_source = _COLUMN_SOURCES[obj]
+        fwd = compiled.column(fwd_source, attr)
+        bwd = fwd if bwd_source == fwd_source else compiled.column(bwd_source, attr)
+        if fwd is None or bwd is None:
+            return None
+        env_fwd[key] = fwd
+        env_bwd[key] = bwd
+
+    # Pre-scan the query side: every referenced attribute must be numeric or
+    # missing on every query edge, otherwise scalar error semantics apply.
+    edge_scalars = _query_edge_scalars(query, keys, pair_edges)
+    if edge_scalars is None:
+        return None
+    return _VectorSetup(trivial, kernel, env_fwd, env_bwd, edge_scalars)
+
+
 def _mask_to_bool_array(mask: int, num_bits: int):
     """Decode an int bitmask into a numpy bool lookup of length *num_bits*."""
     data = mask.to_bytes((num_bits + 7) // 8, "little") if num_bits else b""
@@ -706,52 +780,16 @@ def _build_pairs_vectorized(query, constraint, node_allowed,
     queries against an unchanged model only pay for the per-query batch
     evaluation and the mask packing.
     """
-    host_pair_info = compiled.host_pair_info
     indexer = compiled.indexer
-    if not HAVE_NUMPY or not host_pair_info:
+    if not compiled.host_pair_info:
         return None
-    if getattr(constraint, "strict", False):
-        return None  # strict missing-attribute errors belong to the scalar path
-    trivial = constraint.is_trivial
-    kernel = None
-    keys = []
-    if not trivial:
-        kernel = cached_vector_kernel(constraint)
-        if kernel is None:
-            return None
-        keys = referenced_attributes(constraint.ast)
-        if any(obj not in _R_OBJECTS and obj not in _V_OBJECTS
-               for obj, _ in keys):
-            return None
     num_hosts = len(indexer)
     if num_hosts * num_hosts > _MAX_DENSE_CELLS:
         return None
-
-    ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
-
-    # One (values, missing) column pair per referenced hosting-side
-    # attribute, per orientation: "forward" places (rEdge, rSource, rTarget)
-    # on (ab, a, b), "backward" on (ba, b, a) — see the scalar loop.
-    column_sources = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
-    env_fwd = {}
-    env_bwd = {}
-    for key in keys:
-        obj, attr = key
-        if obj not in column_sources:
-            continue
-        fwd_source, bwd_source = column_sources[obj]
-        fwd = compiled.column(fwd_source, attr)
-        bwd = fwd if bwd_source == fwd_source else compiled.column(bwd_source, attr)
-        if fwd is None or bwd is None:
-            return None
-        env_fwd[key] = fwd
-        env_bwd[key] = bwd
-
-    # Pre-scan the query side: every referenced attribute must be numeric or
-    # missing on every query edge, otherwise scalar error semantics apply.
-    edge_scalars = _query_edge_scalars(query, keys, pair_edges)
-    if edge_scalars is None:
+    setup = _vector_setup(query, constraint, pair_edges, compiled)
+    if setup is None:
         return None
+    ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
 
     match_masks = filters.match_masks
     non_match_masks = filters.non_match_masks
@@ -798,20 +836,11 @@ def _build_pairs_vectorized(query, constraint, node_allowed,
     for (qa, qb), edges_between in pair_edges.items():
         if deadline is not None:
             deadline.check()
-        rows_allowed = (allowed_lookup(qa)[ra_idx]
-                        & allowed_lookup(qb)[rb_idx])
-        alive = rows_allowed
-        for q_source, q_target in edges_between:
-            forward = q_source == qa
-            evaluable = alive & (exists_fwd if forward else exists_bwd)
-            if trivial:
-                alive = evaluable
-                continue
-            evaluations += int(np.count_nonzero(evaluable))
-            env = dict(env_fwd if forward else env_bwd)
-            env.update(edge_scalars[(q_source, q_target)])
-            value, bad = kernel(env)
-            alive = evaluable & np.logical_and(value, np.logical_not(bad))
+        alive, count = setup.survivors(
+            qa, edges_between,
+            allowed_lookup(qa)[ra_idx] & allowed_lookup(qb)[rb_idx],
+            exists_fwd, exists_bwd)
+        evaluations += count
         if alive.any():
             row_any, col_any = accumulate(match_masks, alive, qa, qb)
             mask_a = int.from_bytes(
@@ -899,47 +928,18 @@ def _patch_pairs_vectorized(query, constraint, pair_edges, compiled,
     when the workload is outside the vectorizable fragment — the caller then
     runs the scalar row loop.
     """
-    if not HAVE_NUMPY or not rows:
+    if not rows:
         return None
-    if getattr(constraint, "strict", False):
+    setup = _vector_setup(query, constraint, pair_edges, compiled)
+    if setup is None:
         return None
-    trivial = constraint.is_trivial
-    kernel = None
-    keys = []
-    if not trivial:
-        kernel = cached_vector_kernel(constraint)
-        if kernel is None:
-            return None
-        keys = referenced_attributes(constraint.ast)
-        if any(obj not in _R_OBJECTS and obj not in _V_OBJECTS
-               for obj, _ in keys):
-            return None
-
     ra_idx, rb_idx, exists_fwd, exists_bwd = compiled.index_arrays()
     selection = np.asarray(rows, dtype=np.int64)
+    setup = setup.select(selection)
     sub_ra = ra_idx[selection]
     sub_rb = rb_idx[selection]
     sub_fwd = exists_fwd[selection]
     sub_bwd = exists_bwd[selection]
-
-    column_sources = {"rEdge": (4, 5), "rSource": (6, 7), "rTarget": (7, 6)}
-    env_fwd = {}
-    env_bwd = {}
-    for key in keys:
-        obj, attr = key
-        if obj not in column_sources:
-            continue
-        fwd_source, bwd_source = column_sources[obj]
-        fwd = compiled.column(fwd_source, attr)
-        bwd = fwd if bwd_source == fwd_source else compiled.column(bwd_source, attr)
-        if fwd is None or bwd is None:
-            return None
-        env_fwd[key] = (fwd[0][selection], fwd[1][selection])
-        env_bwd[key] = (bwd[0][selection], bwd[1][selection])
-
-    edge_scalars = _query_edge_scalars(query, keys, pair_edges)
-    if edge_scalars is None:
-        return None
 
     num_hosts = len(indexer)
     allowed_bools: Dict[NodeId, object] = {}
@@ -954,18 +954,11 @@ def _patch_pairs_vectorized(query, constraint, pair_edges, compiled,
     evaluations = 0
     matched_by_pair = {}
     for (qa, qb), edges_between in pair_edges.items():
-        alive = allowed_lookup(qa)[sub_ra] & allowed_lookup(qb)[sub_rb]
-        for q_source, q_target in edges_between:
-            forward = q_source == qa
-            evaluable = alive & (sub_fwd if forward else sub_bwd)
-            if trivial:
-                alive = evaluable
-                continue
-            evaluations += int(np.count_nonzero(evaluable))
-            env = dict(env_fwd if forward else env_bwd)
-            env.update(edge_scalars[(q_source, q_target)])
-            value, bad = kernel(env)
-            alive = evaluable & np.logical_and(value, np.logical_not(bad))
+        alive, count = setup.survivors(
+            qa, edges_between,
+            allowed_lookup(qa)[sub_ra] & allowed_lookup(qb)[sub_rb],
+            sub_fwd, sub_bwd)
+        evaluations += count
         matched_by_pair[(qa, qb)] = alive
     return matched_by_pair, evaluations
 
@@ -1135,14 +1128,7 @@ def patch_filters(filters: FilterMatrices, query: QueryNetwork,
                 deadline.check()
             allowed_a = allowed_masks.get(qa, 0)
             allowed_b = allowed_masks.get(qb, 0)
-            edge_contexts = []
-            for q_source, q_target in edges_between:
-                edge_contexts.append((q_source == qa, {
-                    "vEdge": query.edge_attrs(q_source, q_target),
-                    "vSource": query.node_attrs(q_source),
-                    "vTarget": query.node_attrs(q_target),
-                    "rEdge": None, "rSource": None, "rTarget": None,
-                }))
+            edge_contexts = _edge_contexts(query, qa, edges_between)
             for row in row_info:
                 ra, rb, bit_a, bit_b, attrs_ab, attrs_ba, attrs_a, attrs_b = row
                 matched = bool(allowed_a & bit_a) and bool(allowed_b & bit_b)

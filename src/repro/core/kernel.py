@@ -6,7 +6,7 @@ filter row — so the inner loop is list indexing and ``int`` algebra with no
 per-expansion filter-key hashing.  It is the one search engine behind
 :class:`~repro.core.ecf.ECF` and :class:`~repro.core.rwb.RWB`; the recursive
 set-semantics engines in :mod:`repro.core.reference` are the oracle it is
-tested against.
+tested against.  Each search runs start to finish on the calling thread.
 
 **Byte-identity contract.**  The mapping stream and the evaluation counters
 (``nodes_expanded`` / ``candidates_considered`` / ``backtracks``) are
@@ -21,7 +21,7 @@ per-node poll would — a completed run never differs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 __all__ = [
     "CHUNK_STEPS",
@@ -49,8 +49,7 @@ class KernelPlan:
     a filter key.  Rows index into :attr:`masks_int`, which enumerates
     ``filters.match_masks`` in dict order.
 
-    Plans are derived caches: they are rebuilt on demand and never pickled
-    (shards rebuild them in their own process).
+    Plans are derived caches, rebuilt on demand.
     """
 
     __slots__ = ("order", "prior", "indexer", "host_nodes", "depth_of", "n",
@@ -123,52 +122,33 @@ def candidates_int(plan: KernelPlan, depth: int, assign_idx, used: int) -> int:
 # ECF: the explicit-stack depth-first search
 # ---------------------------------------------------------------------- #
 
-def ecf_search(context, plan: KernelPlan, start_depth: int = 0,
-               assignment: Optional[dict] = None, used_mask: int = 0,
-               start_mask: Optional[int] = None) -> bool:
+def ecf_search(context, plan: KernelPlan) -> bool:
     """Depth-first expansion over the plan's bitmask candidates.
 
     Returns ``False`` iff the search stopped early on the result cap.  Per
     depth the loop keeps the not-yet-tried candidate mask and the bit of the
     host currently placed there; taking the lowest set bit first reproduces
     the canonical ``sorted(key=str)`` trial order.
-
-    A shard of the parallel engine resumes the search below an assignment
-    prefix: *start_depth* / *assignment* / *used_mask* describe the prefix
-    and *start_mask* is its precomputed (and already-counted, by
-    ``ECF._shard_specs``) candidate mask for ``order[start_depth]``;
-    backtracking bottoms out at the prefix instead of the root.
     """
     # An already-expired budget surfaces zero mappings, not a chunk's worth.
     context.check_deadline()
     n = plan.n
     stats = context.stats
-    prefix = dict(assignment) if assignment else {}
     assign_idx = [-1] * n
-    index_of = plan.indexer.index_of
-    depth_of = plan.depth_of
-    for node, host in prefix.items():
-        assign_idx[depth_of[node]] = index_of(host)
-
-    if start_mask is None:
-        mask = candidates_int(plan, start_depth, assign_idx, used_mask)
-        stats.nodes_expanded += 1
-        stats.candidates_considered += mask.bit_count()
-        if not mask:
-            stats.backtracks += 1
-            return True
-    else:
-        mask = start_mask    # expansion already counted by _shard_specs
-        if not mask:
-            return True
+    mask = candidates_int(plan, 0, assign_idx, 0)
+    stats.nodes_expanded += 1
+    stats.candidates_considered += mask.bit_count()
+    if not mask:
+        stats.backtracks += 1
+        return True
 
     remaining = [0] * n      # untried candidate bits per depth
     placed = [0] * n         # bit of the host currently placed per depth
-    remaining[start_depth] = mask
-    depth = start_depth
-    used = used_mask
+    remaining[0] = mask
+    depth = 0
+    used = 0
     last = n - 1
-    tail = plan.order[start_depth:]
+    order = plan.order
     host_nodes = plan.host_nodes
     node_ints = plan.node_ints
     cell_tables = plan.cell_tables
@@ -178,7 +158,7 @@ def ecf_search(context, plan: KernelPlan, start_depth: int = 0,
     expanded = considered = backtracks = 0
     poll_at = CHUNK_STEPS
     try:
-        while depth >= start_depth:
+        while depth >= 0:
             mask = remaining[depth]
             if not mask:
                 # Depth exhausted: undo its placement (if any) and backtrack.
@@ -199,9 +179,7 @@ def ecf_search(context, plan: KernelPlan, start_depth: int = 0,
             if depth == last:
                 # A full-depth leaf is a feasible embedding (Fig. 4: "report
                 # mapping defined by branch from node to root").
-                mapping = dict(prefix)
-                mapping.update(zip(tail, [host_nodes[i]
-                                          for i in assign_idx[start_depth:]]))
+                mapping = dict(zip(order, [host_nodes[i] for i in assign_idx]))
                 if record_mapping(mapping):
                     return False
                 continue

@@ -73,10 +73,6 @@ class LNS(EmbeddingAlgorithm):
 
     name = "LNS"
     supports_prepare = True
-    #: LNS evaluates edge constraints lazily, so its shards ship the
-    #: networks and expressions to the workers (the default) — only the
-    #: filter-based algorithms can omit them.
-    supports_sharding = True
 
     def __init__(self, candidate_order: str = "sorted") -> None:
         if candidate_order not in ("sorted", "degree"):
@@ -163,60 +159,6 @@ class LNS(EmbeddingAlgorithm):
                             prepared.adjacency_masks, assignment, 0, covered,
                             neighbors, external)
 
-    # -- sharding: contiguous slices of the seed vertex's trial order ------ #
-
-    def _seed_vertex(self, context: SearchContext) -> NodeId:
-        """The vertex Covered is seeded with: the highest-degree query vertex."""
-        return max(context.query.nodes(),
-                   key=lambda n: (context.query.degree(n), str(n)))
-
-    def _shard_specs(self, context: SearchContext, prepared: PreparedSearch,
-                     shards: int) -> List[Tuple[NodeId, Tuple[NodeId, ...]]]:
-        """Split the seed vertex's candidate order; the seeding expansion is
-        counted here (once, in the parent), per the base-class convention."""
-        from repro.core.parallel import split_contiguous
-
-        context.check_deadline()
-        seed = self._seed_vertex(context)
-        hosts = self._order_candidates(context, prepared.indexer,
-                                       prepared.allowed_masks[seed])
-        context.stats.nodes_expanded += 1
-        context.stats.candidates_considered += len(hosts)
-        if not hosts:
-            context.stats.backtracks += 1
-            return []
-        return [(seed, tuple(block)) for block in split_contiguous(hosts, shards)]
-
-    def _run_shard(self, context: SearchContext, prepared: PreparedSearch,
-                   spec: Tuple[NodeId, Tuple[NodeId, ...]]) -> bool:
-        """Replay the first Covered-seeding expansion over one host slice.
-
-        Mirrors the ``not neighbors and external`` branch of :meth:`_extend`
-        exactly — same set evolution, same trial order — but over this
-        shard's slice of the candidate hosts, so concatenating the shards
-        reproduces the serial stream (the expansion's own statistics were
-        counted by :meth:`_shard_specs`).
-        """
-        current, hosts = spec
-        query = context.query
-        external = set(query.nodes())
-        new_covered = [current]
-        new_neighbors = {n for n in query.neighbors(current) if n != current}
-        new_external = external - {current} - new_neighbors
-        bit_of = prepared.indexer.bit
-        assignment: Dict[NodeId, NodeId] = {}
-        for host in hosts:
-            assignment[current] = host
-            keep_going = self._extend(context, prepared.indexer,
-                                      prepared.allowed_masks,
-                                      prepared.adjacency_masks, assignment,
-                                      bit_of(host), new_covered, new_neighbors,
-                                      new_external)
-            del assignment[current]
-            if not keep_going:
-                return False
-        return True
-
     # ------------------------------------------------------------------ #
 
     def _adjacency_mask(self, context: SearchContext, indexer: NodeIndexer,
@@ -257,8 +199,7 @@ class LNS(EmbeddingAlgorithm):
             # masks before any constraint evaluation is the "lazy" pruning
             # step.
             # Seeding with the bounded all-hosts mask (rather than -1) keeps
-            # every intermediate value a non-negative, width-limited int —
-            # the same invariant the word-array mask tables rely on.
+            # every intermediate value a non-negative, width-limited int.
             candidates_mask = indexer.full_mask
             for _, host in connecting:
                 candidates_mask &= self._adjacency_mask(context, indexer,

@@ -14,6 +14,7 @@ splits the API in two:
 * :meth:`EmbeddingPlan.execute` / :meth:`EmbeddingPlan.iter_mappings` run the
   search against those artifacts as many times as the caller likes, each run
   with its own budget (and, for seedable algorithms, its own random stream).
+  Every execute is one serial search on the calling thread.
 
 Plans are *version-aware*: they capture the hosting and query networks'
 monotonic :attr:`~repro.graphs.network.Network.mutation_count` at prepare
@@ -33,12 +34,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.api.request import Budget, SearchRequest
-from repro.constraints.vectorizer import HAVE_NUMPY
 from repro.core.filters import FilterMatrices
 from repro.core.indexing import NodeIndexer
 from repro.core.mapping import Mapping
 from repro.core.result import EmbeddingResult
-from repro.core.words import WordTable
 
 NodeId = Hashable
 
@@ -90,34 +89,6 @@ class PreparedSearch:
     constraint_evaluations: int = 0
     filter_entries: int = 0
     filter_build_seconds: float = 0.0
-
-    #: The LNS mask dicts that travel as word tables across pickle
-    #: boundaries (the ECF/RWB masks do the same inside FilterMatrices).
-    _WORD_FIELDS = ("allowed_masks", "adjacency_masks")
-
-    def __getstate__(self):
-        """Ship the mask dicts as fixed-width word tables.
-
-        The word tables pickle private copies of their arrays (see
-        :class:`~repro.core.words.WordTable`), so a shard payload never
-        aliases this object's buffers; kernel plans live on the filters
-        object and are stripped by *its* ``__getstate__``.
-        """
-        state = dict(self.__dict__)
-        if HAVE_NUMPY and self.indexer is not None:
-            num_bits = len(self.indexer)
-            for name in self._WORD_FIELDS:
-                masks = state.get(name)
-                if isinstance(masks, dict):
-                    state[name] = WordTable.from_masks(masks, num_bits)
-        return state
-
-    def __setstate__(self, state) -> None:
-        for name in self._WORD_FIELDS:
-            value = state.get(name)
-            if isinstance(value, WordTable):
-                state[name] = value.to_masks()
-        self.__dict__.update(state)
 
 
 class EmbeddingPlan:
@@ -238,8 +209,7 @@ class EmbeddingPlan:
         return self._executions
 
     def execute(self, budget: Optional[Budget] = None, *,
-                on_mapping=None, cancel=None, rng=None,
-                parallelism: Optional[int] = None, pool=None) -> EmbeddingResult:
+                on_mapping=None, cancel=None, rng=None) -> EmbeddingResult:
         """Run the search against the compiled artifacts.
 
         Parameters
@@ -254,29 +224,18 @@ class EmbeddingPlan:
             Per-run randomness source for seedable algorithms (RWB); lets a
             single cached plan serve requests carrying different seeds.
             Ignored by deterministic algorithms.
-        parallelism:
-            Shard the search across this many process-pool workers
-            (:mod:`repro.core.parallel`); the mapping stream and the
-            full-enumeration counters are identical to a serial run.
-            ``None`` defers to the prepared request's own ``parallelism``;
-            ``1`` forces serial.
-        pool:
-            Process pool for the shards (``None`` = the module-wide shared
-            pool); only consulted when parallelism is in effect.
         """
         self.check_fresh()
         run_budget = self.request.budget if budget is None else budget
         result = self.algorithm._drive(self.request, prepared=self.prepared,
                                        budget=run_budget, on_mapping=on_mapping,
-                                       cancel=cancel, rng=rng,
-                                       parallelism=parallelism, pool=pool)
+                                       cancel=cancel, rng=rng)
         with self._executions_lock:
             self._executions += 1
         return result
 
     def stream(self, budget: Optional[Budget] = None, buffer_size: int = 1,
-               rng=None, parallelism: Optional[int] = None,
-               pool=None) -> Iterator[Mapping]:
+               rng=None) -> Iterator[Mapping]:
         """Generator form of :meth:`execute`: lazily yields each Mapping."""
         if buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
@@ -285,18 +244,15 @@ class EmbeddingPlan:
 
         def run(push, closed):
             return self.execute(budget, on_mapping=push, cancel=closed,
-                                rng=rng, parallelism=parallelism, pool=pool)
+                                rng=rng)
 
         return pump_mapping_stream(run, f"{self.algorithm.name}-plan",
                                    buffer_size)
 
     def iter_mappings(self, budget: Optional[Budget] = None,
-                      buffer_size: int = 1, rng=None,
-                      parallelism: Optional[int] = None,
-                      pool=None) -> Iterator[Mapping]:
+                      buffer_size: int = 1, rng=None) -> Iterator[Mapping]:
         """Alias of :meth:`stream`, mirroring the algorithm-level API."""
-        return self.stream(budget=budget, buffer_size=buffer_size, rng=rng,
-                           parallelism=parallelism, pool=pool)
+        return self.stream(budget=budget, buffer_size=buffer_size, rng=rng)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -261,16 +261,15 @@ class ReferenceRWB(RWB):
 
     name = "RWB-reference"
 
-    def _run_shard(self, context: SearchContext, prepared: PreparedSearch,
-                   spec: Tuple[int, List[NodeId], int]) -> bool:
-        start, hosts, base = spec
+    def _walk_roots(self, context: SearchContext, prepared: PreparedSearch,
+                    roots: List[NodeId], base: int) -> bool:
         filters = prepared.filters
         order = prepared.order
         node = order[0]
         bit_of = filters.host_indexer.bit
         assignment: Dict[NodeId, NodeId] = {}
-        for offset, host in enumerate(hosts):
-            rng = random.Random(_subtree_seed(base, start + offset))
+        for index, host in enumerate(roots):
+            rng = random.Random(_subtree_seed(base, index))
             assignment[node] = host
             keep_going = self._walk(context, filters, order, prepared.prior,
                                     1, assignment, bit_of(host), rng)

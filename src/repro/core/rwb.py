@@ -19,11 +19,9 @@ without finding an embedding is a proof of infeasibility, just like ECF.
 twice at the top level: once to shuffle the first query node's candidates
 (the root trial order) and once to draw a 64-bit base seed.  Every root
 candidate's subtree is then walked with its own :class:`random.Random`
-derived from ``(base, root index)``.  Decorrelating the subtrees this way is
-what makes RWB shardable (see :mod:`repro.core.parallel`): a worker handed an
-arbitrary slice of the root order reproduces exactly the subtree streams a
-serial run would, so parallel and serial mapping streams are byte-identical
-for any shard count — and seeded runs reproduce across process boundaries.
+derived from ``(base, root index)``, so a subtree's walk depends only on the
+base seed and its root's position — and seeded runs reproduce across process
+boundaries.
 
 Each subtree walk is an explicit-stack loop over the row tables of
 :mod:`repro.core.kernel`; the recursive walk it replays lives on as the
@@ -88,10 +86,6 @@ class RWB(EmbeddingAlgorithm):
 
     name = "RWB"
     supports_prepare = True
-    supports_sharding = True
-    #: Constraints are baked into the filter bitmasks at prepare time; a
-    #: shard needs nothing beyond the compiled artifacts and its seeds.
-    _shard_ships_networks = False
 
     def __init__(self, rng: RandomSource = None,
                  ordering: str = "connectivity",
@@ -155,12 +149,12 @@ class RWB(EmbeddingAlgorithm):
         """The shuffled root trial order plus the subtree-stream base seed.
 
         Consumes the run's random source exactly twice (one shuffle, one
-        64-bit draw) — the single point where serial execution and the
-        sharded engine must agree on how the stream is spent.  A per-run rng
-        (a plan execute carrying a request seed) wins over the
-        construction-time source; both normalise through as_rng, so a fresh
-        search and a planned execute with the same seed walk the exact same
-        random candidate order.
+        64-bit draw); everything below the root draws from the per-subtree
+        streams of :func:`_subtree_seed`.  A per-run rng (a plan execute
+        carrying a request seed) wins over the construction-time source;
+        both normalise through as_rng, so a fresh search and a planned
+        execute with the same seed walk the exact same random candidate
+        order.
         """
         rng = context.rng if context.rng is not None else as_rng(self._rng_source)
         node = prepared.order[0]
@@ -174,41 +168,25 @@ class RWB(EmbeddingAlgorithm):
 
     def _run_prepared(self, context: SearchContext,
                       prepared: PreparedSearch) -> bool:
-        from repro.core.parallel import run_specs_serial
-
-        return run_specs_serial(self, context, prepared,
-                                self._shard_specs(context, prepared, 1))
-
-    # -- sharding: contiguous slices of the shuffled root order ----------- #
-
-    def _shard_specs(self, context: SearchContext, prepared: PreparedSearch,
-                     shards: int) -> List[Tuple[int, List[NodeId], int]]:
-        """Split the shuffled root order; the root expansion is counted here
-        (once, in the parent), per the base-class statistics convention."""
-        from repro.core.parallel import split_contiguous
-
+        """Expand the root, then walk the root candidates' subtrees.
+        ``False`` iff stopped early (result cap)."""
         context.check_deadline()
         roots, base = self._root_plan(context, prepared)
         context.stats.nodes_expanded += 1
         context.stats.candidates_considered += len(roots)
         if not roots:
             context.stats.backtracks += 1
-            return []
-        specs: List[Tuple[int, List[NodeId], int]] = []
-        start = 0
-        for block in split_contiguous(roots, shards):
-            specs.append((start, list(block), base))
-            start += len(block)
-        return specs
+            return True
+        return self._walk_roots(context, prepared, roots, base)
 
-    def _run_shard(self, context: SearchContext, prepared: PreparedSearch,
-                   spec: Tuple[int, List[NodeId], int]) -> bool:
-        """Walk one slice of the root order, one derived rng per subtree."""
-        start, hosts, base = spec
+    def _walk_roots(self, context: SearchContext, prepared: PreparedSearch,
+                    roots: List[NodeId], base: int) -> bool:
+        """Walk each root's subtree in shuffled order, root *i* with its own
+        ``Random(_subtree_seed(base, i))``.  ``False`` iff stopped early."""
         plan = kernel.plan_for(prepared.filters, prepared.order, prepared.prior)
         index_of = prepared.filters.host_indexer.index_of
-        for offset, host in enumerate(hosts):
-            rng = random.Random(_subtree_seed(base, start + offset))
+        for index, host in enumerate(roots):
+            rng = random.Random(_subtree_seed(base, index))
             if not self._walk_kernel(context, plan, host, index_of(host), rng):
                 return False
         return True

@@ -12,9 +12,6 @@ from repro.faults.injection import (
     InjectedEngineTimeout,
     InjectedFault,
     InjectedPartitionLoss,
-    InjectedPoolBreak,
-    InjectedShardError,
-    InjectedWorkerCrash,
     active,
     deactivate,
     fire,
@@ -39,9 +36,6 @@ __all__ = [
     "InjectedEngineTimeout",
     "InjectedFault",
     "InjectedPartitionLoss",
-    "InjectedPoolBreak",
-    "InjectedShardError",
-    "InjectedWorkerCrash",
     "KINDS",
     "SITES",
     "active",

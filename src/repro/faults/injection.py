@@ -15,17 +15,14 @@ or raises a typed injected exception:
 ========================  =====================================================
 kind                      raised exception / behaviour
 ========================  =====================================================
-``worker-crash``          :class:`InjectedWorkerCrash` (a ``BrokenProcessPool``
-                          subclass — the parallel engine's supervisor treats
-                          it exactly like a real worker death)
-``pool-broken``           :class:`InjectedPoolBreak` (likewise)
-``shard-exception``       :class:`InjectedShardError` (an ordinary shard
-                          failure that propagates to the caller)
 ``engine-timeout``        :class:`InjectedEngineTimeout` (a
                           ``TimeoutExpired`` subclass)
 ``connection-drop``       :class:`InjectedConnectionDrop` (a
                           ``ConnectionError`` subclass; the server interprets
                           it by closing the connection without replying)
+``partition-loss``        :class:`InjectedPartitionLoss` (a
+                          ``ConnectionError`` subclass; the coordinator marks
+                          the partition unavailable)
 ``slow-call``             ``time.sleep(spec.delay)`` then normal return
 ========================  =====================================================
 
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -51,18 +47,6 @@ from repro.utils.timing import TimeoutExpired
 
 class InjectedFault(Exception):
     """Mixin marking an exception as deliberately injected."""
-
-
-class InjectedWorkerCrash(BrokenProcessPool, InjectedFault):
-    """A worker process death injected at a parallel-engine site."""
-
-
-class InjectedPoolBreak(BrokenProcessPool, InjectedFault):
-    """A process-pool breakage injected at pool-submission time."""
-
-
-class InjectedShardError(RuntimeError, InjectedFault):
-    """An ordinary (non-crash) shard failure injected into the merge."""
 
 
 class InjectedEngineTimeout(TimeoutExpired, InjectedFault):
@@ -86,12 +70,6 @@ class InjectedPartitionLoss(ConnectionError, InjectedFault):
 
 #: kind -> exception factory for the raising fault kinds.
 _RAISERS = {
-    "worker-crash": lambda spec, n: InjectedWorkerCrash(
-        f"injected worker crash at {spec.site} invocation {n}"),
-    "pool-broken": lambda spec, n: InjectedPoolBreak(
-        f"injected pool breakage at {spec.site} invocation {n}"),
-    "shard-exception": lambda spec, n: InjectedShardError(
-        f"injected shard exception at {spec.site} invocation {n}"),
     "engine-timeout": lambda spec, n: InjectedEngineTimeout(
         f"injected engine timeout at {spec.site} invocation {n}"),
     "connection-drop": lambda spec, n: InjectedConnectionDrop(

@@ -3,8 +3,8 @@
 A :class:`FaultPlan` is a declarative schedule of faults keyed on **named
 injection sites** — fixed points in the engine, service and server code that
 call :func:`repro.faults.injection.fire` — and on the site's **invocation
-index** (1-based: the third time the server replies, the fifth time a shard
-result is consumed, …).  Counting invocations instead of wall-clock time is
+index** (1-based: the third time the server replies, the fifth time a
+request is submitted, …).  Counting invocations instead of wall-clock time is
 what makes fault runs reproducible: the same seed and the same request
 sequence hit the same faults in the same places, every run, regardless of
 machine speed.
@@ -35,10 +35,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 #: ``fire(site)``; keeping the registry closed turns plan typos into
 #: immediate errors instead of plans that never fire.
 SITES: Dict[str, Tuple[str, ...]] = {
-    # core/parallel.py — consuming one shard outcome from the pool.
-    "parallel.shard-result": ("worker-crash", "shard-exception", "slow-call"),
-    # core/parallel.py — submitting one shard to the process pool.
-    "parallel.pool-submit": ("pool-broken",),
     # service/netembed.py — entry of NetEmbedService.submit.
     "service.submit": ("engine-timeout", "slow-call"),
     # server/admission.py — entry of AdmissionController.admit.
@@ -53,9 +49,7 @@ SITES: Dict[str, Tuple[str, ...]] = {
 
 #: All fault kinds any site understands (documentation + validation).
 KINDS: Tuple[str, ...] = (
-    "worker-crash", "shard-exception", "slow-call",
-    "connection-drop", "engine-timeout", "pool-broken",
-    "partition-loss",
+    "slow-call", "connection-drop", "engine-timeout", "partition-loss",
 )
 
 

@@ -81,9 +81,9 @@ class Network:
 
     #: Derived, per-process caches memoised on the instance by other layers
     #: (the hosting compile, the request fingerprint digest).  They are
-    #: rebuilt on demand, so pickling — notably shipping networks to the
-    #: shard workers of :mod:`repro.core.parallel` — drops them to keep the
-    #: payload lean and free of cross-process aliasing.
+    #: rebuilt on demand, so pickling — notably shipping a replica to a
+    #: cluster worker (:mod:`repro.cluster.replica`) — drops them to keep
+    #: the payload lean and free of cross-process aliasing.
     _DERIVED_CACHE_ATTRS = ("_hosting_compile", "_structure_digest")
 
     @classmethod
@@ -93,8 +93,8 @@ class Network:
         Layers that memoise compiled artifacts on a network instance (the
         way :mod:`repro.core.filters` hangs the hosting compile here) call
         this once at import so ``__getstate__`` strips their attribute too —
-        shard payloads must never ship compiled handles or array views that
-        alias the parent's buffers.
+        a pickled network must never ship compiled handles or array views
+        that alias the parent's buffers.
         """
         if attr not in cls._DERIVED_CACHE_ATTRS:
             cls._DERIVED_CACHE_ATTRS = cls._DERIVED_CACHE_ATTRS + (attr,)
@@ -102,7 +102,7 @@ class Network:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["_adjacency"] = {}
-        # The journal is history, not state: a deserialized copy (a shard
+        # The journal is history, not state: a deserialized copy (a replica
         # worker's network) must not claim to know deltas it never saw, so
         # it ships empty with its floor at the current epoch.
         state["_journal"] = MutationJournal(

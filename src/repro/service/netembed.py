@@ -76,21 +76,13 @@ class NetEmbedService:
         queries against an unchanged model skip the whole compile stage; a
         monitor refresh (version bump) or any network mutation invalidates
         the affected plans automatically.
-    parallel_workers:
-        Size bound of the service's shared shard process pool (``None`` =
-        ``os.cpu_count()``).  Specs carrying ``parallelism > 1`` — batch
-        and streaming traffic alike — run their search stage on this one
-        pool (created lazily, torn down by :meth:`shutdown`), so the
-        process count stays bounded no matter how many requests ask for
-        parallelism at once.
     """
 
     def __init__(self, default_timeout: float = 30.0, rng: RandomSource = None,
                  selection_policy: Optional[SelectionPolicy] = None,
                  algorithms: Optional[AlgorithmRegistry] = None,
                  max_workers: Optional[int] = None,
-                 plan_cache_size: int = 128,
-                 parallel_workers: Optional[int] = None) -> None:
+                 plan_cache_size: int = 128) -> None:
         if default_timeout <= 0:
             raise ValueError(f"default_timeout must be positive, got {default_timeout}")
         self.registry = NetworkModelRegistry()
@@ -105,9 +97,6 @@ class NetEmbedService:
         self._max_workers = max_workers
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
-        self._parallel_workers = parallel_workers
-        self._process_pool = None
-        self._process_pool_lock = threading.Lock()
         #: Default-configured instance per algorithm name, shared by the plan
         #: path (prepared artifacts are config- and seed-independent, and the
         #: search stage keeps all mutable state per run) — avoids building a
@@ -196,15 +185,13 @@ class NetEmbedService:
         info = self._algorithm_info(spec, hosting)
         request = spec.to_request(hosting, default_timeout=self._default_timeout)
 
-        parallelism, shard_pool = self._shard_plan_for(spec)
         plan = (self._cached_plan(network_name, version, info, request)
                 if spec.cache else None)
         result = None
         if plan is not None:
             try:
                 result = plan.execute(budget=request.budget,
-                                      rng=self._execution_rng(info, spec),
-                                      parallelism=parallelism, pool=shard_pool)
+                                      rng=self._execution_rng(info, spec))
                 algorithm_used = plan.algorithm.name
             except PlanInvalidatedError:
                 # A monitor tick landed between the cache fetch and the
@@ -213,7 +200,7 @@ class NetEmbedService:
                 plan = None
         if plan is None:
             algorithm = self._instantiate(info, spec)
-            result = algorithm.request(request, pool=shard_pool)
+            result = algorithm.request(request)
             algorithm_used = algorithm.name
 
         reservation_id = None
@@ -262,14 +249,12 @@ class NetEmbedService:
               node_constraint: Optional[Union[str, ConstraintExpression]] = None,
               algorithm: str = "auto", timeout: Optional[float] = None,
               max_results: Optional[int] = None, network: Optional[str] = None,
-              reserve: bool = False, seed: Optional[int] = None,
-              parallelism: Optional[int] = None) -> EmbeddingResponse:
+              reserve: bool = False, seed: Optional[int] = None) -> EmbeddingResponse:
         """Keyword-style convenience wrapper around :meth:`submit`."""
         spec = QuerySpec(query=query, constraint=constraint,
                          node_constraint=node_constraint, algorithm=algorithm,
                          timeout=timeout, max_results=max_results,
-                         network=network, reserve=reserve, seed=seed,
-                         parallelism=parallelism)
+                         network=network, reserve=reserve, seed=seed)
         return self.submit(spec)
 
     def stream(self, spec: QuerySpec, buffer_size: int = 1) -> Iterator[Mapping]:
@@ -286,22 +271,18 @@ class NetEmbedService:
         network_name, hosting, version = self._resolve_network(spec.network)
         info = self._algorithm_info(spec, hosting)
         request = spec.to_request(hosting, default_timeout=self._default_timeout)
-        parallelism, shard_pool = self._shard_plan_for(spec)
         plan = (self._cached_plan(network_name, version, info, request)
                 if spec.cache else None)
         if plan is not None:
             return self._stream_plan_with_fallback(plan, request, info, spec,
-                                                   buffer_size, parallelism,
-                                                   shard_pool)
+                                                   buffer_size)
         algorithm = self._instantiate(info, spec)
-        return algorithm.stream(request, buffer_size=buffer_size,
-                                pool=shard_pool)
+        return algorithm.stream(request, buffer_size=buffer_size)
 
     def _stream_plan_with_fallback(self, plan: EmbeddingPlan,
                                    request: SearchRequest, info: AlgorithmInfo,
-                                   spec: QuerySpec, buffer_size: int,
-                                   parallelism: Optional[int],
-                                   shard_pool) -> Iterator[Mapping]:
+                                   spec: QuerySpec, buffer_size: int
+                                   ) -> Iterator[Mapping]:
         """Stream from *plan*, degrading to the one-shot path on staleness.
 
         The staleness check runs when the lazily-started search begins, which
@@ -313,14 +294,12 @@ class NetEmbedService:
         try:
             yield from plan.stream(budget=request.budget,
                                    buffer_size=buffer_size,
-                                   rng=self._execution_rng(info, spec),
-                                   parallelism=parallelism, pool=shard_pool)
+                                   rng=self._execution_rng(info, spec))
             return
         except PlanInvalidatedError:
             pass    # raced a mutation: stream one-shot against the live model
         algorithm = self._instantiate(info, spec)
-        yield from algorithm.stream(request, buffer_size=buffer_size,
-                                    pool=shard_pool)
+        yield from algorithm.stream(request, buffer_size=buffer_size)
 
     # ------------------------------------------------------------------ #
     # Batch execution
@@ -367,11 +346,6 @@ class NetEmbedService:
         """The batch thread pool, if one has been created yet."""
         return self._executor
 
-    @property
-    def process_pool(self):
-        """The shared shard process pool, if one has been created yet."""
-        return self._process_pool
-
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._executor_lock:
             if self._executor is None:
@@ -380,49 +354,12 @@ class NetEmbedService:
                     thread_name_prefix="netembed-batch")
             return self._executor
 
-    def _ensure_process_pool(self):
-        """The shared shard pool, created lazily on the first parallel spec.
-
-        A pool whose worker died (OOM-killed, crashed) is unusable forever —
-        every submit raises ``BrokenProcessPool`` — so it is discarded and
-        replaced here: the spec that witnessed the breakage degrades to
-        serial inside the parallel engine, and the next parallel spec gets
-        a fresh pool instead of a permanently dead one.
-        """
-        from repro.core.parallel import make_pool
-
-        with self._process_pool_lock:
-            pool = self._process_pool
-            if pool is not None and getattr(pool, "_broken", False):
-                pool.shutdown(wait=False)
-                pool = self._process_pool = None
-            if pool is None:
-                pool = self._process_pool = make_pool(self._parallel_workers)
-            return pool
-
-    def _shard_plan_for(self, spec: QuerySpec):
-        """``(parallelism, pool)`` for one spec's search stage.
-
-        Serial specs get ``(1, None)`` — an explicit ``1`` so a cached plan
-        prepared from some *other* spec's parallel request cannot leak its
-        setting into this run.  Parallel specs share the service's one
-        bounded pool: concurrent batch workers queue their shards onto the
-        same processes instead of each spawning their own.
-        """
-        if spec.parallelism is None or spec.parallelism <= 1:
-            return 1, None
-        return spec.parallelism, self._ensure_process_pool()
-
     def shutdown(self, wait: bool = True) -> None:
-        """Tear down the batch thread pool and the shard process pool."""
+        """Tear down the batch thread pool and close the WAL, if any."""
         with self._executor_lock:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait)
-        with self._process_pool_lock:
-            process_pool, self._process_pool = self._process_pool, None
-        if process_pool is not None:
-            process_pool.shutdown(wait=wait)
         wal = self.reservations.wal
         if wal is not None:
             wal.close()
@@ -442,7 +379,7 @@ class NetEmbedService:
 
         Folds together the statistics that previously had to be collected
         from four places — the plan cache, the reservation ledger, each
-        registered model's mutation journal, and the execution pools — so a
+        registered model's mutation journal, and the batch thread pool — so a
         metrics endpoint (or ``repro plan --json``) can serve a single
         consistent document.  Values are plain ints/strings/bools; the
         snapshot never holds references into live service state.
@@ -466,8 +403,6 @@ class NetEmbedService:
                 "monitor_ticks": monitor.ticks if monitor is not None else None,
             }
         executor = self._executor
-        process_pool = self._process_pool
-        from repro.core.parallel import default_supervisor
         wal = self.reservations.wal
         injector = faults.active()
         return {
@@ -480,11 +415,6 @@ class NetEmbedService:
                     "created": executor is not None,
                     "max_workers": getattr(executor, "_max_workers", None),
                 },
-                "shard_processes": {
-                    "created": process_pool is not None,
-                    "max_workers": getattr(process_pool, "_max_workers", None),
-                },
-                "supervisor": default_supervisor().stats(),
             },
             "wal": ({"path": str(wal.path), "fsync_batch": wal.fsync_batch}
                     if wal is not None else None),

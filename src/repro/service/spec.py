@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from repro.api.registry import AlgorithmRegistry, default_registry
-from repro.api.request import Budget, SearchRequest, validate_parallelism
+from repro.api.request import Budget, SearchRequest
 from repro.constraints import ConstraintExpression
 from repro.core.mapping import Mapping
 from repro.core.repair import RepairResult
@@ -53,11 +53,6 @@ class QuerySpec:
     seed:
         Per-request random seed handed to seedable algorithms (RWB, the
         metaheuristic baselines) so batch runs are reproducible per request.
-    parallelism:
-        Shard the search stage across this many workers of the service's
-        shared process pool (``None``/``1`` = serial).  The mapping stream
-        is identical to a serial run, so this is purely a latency knob for
-        large enumerations.
     registry:
         Algorithm registry the ``algorithm`` name is validated against
         (``None`` = the process-wide default registry).  Pass the same custom
@@ -80,7 +75,6 @@ class QuerySpec:
     network: Optional[str] = None
     seed: Optional[int] = None
     registry: Optional[AlgorithmRegistry] = None
-    parallelism: Optional[int] = None
     cache: bool = True
 
     def __post_init__(self) -> None:
@@ -103,7 +97,6 @@ class QuerySpec:
         if self.max_results is not None and self.max_results < 1:
             raise ValueError(
                 f"max_results must be >= 1 or None, got {self.max_results}")
-        validate_parallelism(self.parallelism)
 
     def to_request(self, hosting: Network,
                    default_timeout: Optional[float] = None) -> SearchRequest:
@@ -112,8 +105,7 @@ class QuerySpec:
         return SearchRequest.build(
             self.query, hosting, constraint=self.constraint,
             node_constraint=self.node_constraint,
-            budget=Budget(timeout=timeout, max_results=self.max_results),
-            parallelism=self.parallelism)
+            budget=Budget(timeout=timeout, max_results=self.max_results))
 
 
 @dataclass

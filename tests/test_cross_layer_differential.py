@@ -7,7 +7,10 @@ every churn step the next request hits the plan cache, refreshes the plan
 by ``patch_filters`` and runs the search kernel on the patched snapshot.
 After every step the served mapping stream (with key order) and search
 counters must equal a from-scratch ``ReferenceECF`` solve — the recursive
-set-semantics oracle — on the mutated network.
+set-semantics oracle — on the mutated network.  A seeded RWB spec rides
+along through the same cache-hit and patch path; its stream and counters
+must equal a fresh ``ReferenceRWB`` solve with the same seed, which pins
+RWB's root plan and per-subtree seed derivation on patched snapshots.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.constraints import ConstraintExpression
 from repro.core import filters as filters_module
-from repro.core.reference import ReferenceECF
+from repro.core.reference import ReferenceECF, ReferenceRWB
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 from repro.service import NetEmbedService, QuerySpec
@@ -91,20 +94,28 @@ def observables(result):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=10_000),
+       rwb_seed=st.integers(min_value=0, max_value=2 ** 32),
        with_node=st.booleans(),
        steps=st.lists(st.lists(churn_step, min_size=1, max_size=3),
                       min_size=1, max_size=4))
 def test_served_stream_equals_reference_after_every_churn_step(
-        seed, with_node, steps):
+        seed, rwb_seed, with_node, steps):
     hosting, query = build_network(seed)
     constraint = ConstraintExpression(WINDOW)
     node_constraint = ConstraintExpression(UP) if with_node else None
     spec = QuerySpec(query=query, constraint=constraint,
                      node_constraint=node_constraint, algorithm="ECF")
+    rwb_spec = QuerySpec(query=query, constraint=constraint,
+                         node_constraint=node_constraint, algorithm="RWB",
+                         seed=rwb_seed, max_results=5)
 
     def reference():
         return ReferenceECF().request(spec.to_request(hosting,
                                                       default_timeout=10.0))
+
+    def rwb_reference():
+        return ReferenceRWB(seed=rwb_seed).request(
+            rwb_spec.to_request(hosting, default_timeout=10.0))
 
     # Every attr-only delta patches (none falls back to a recompile for
     # touching too many rows), so each step reaches patch_filters.
@@ -114,11 +125,15 @@ def test_served_stream_equals_reference_after_every_churn_step(
         service.register_network(hosting, name="lab")
         assert (observables(service.submit(spec).result)
                 == observables(reference()))
+        assert (observables(service.submit(rwb_spec).result)
+                == observables(rwb_reference()))
         for mutations in steps:
             apply_step(hosting, mutations)
             service.registry.touch("lab")
             served = service.submit(spec).result
             assert observables(served) == observables(reference())
+            served = service.submit(rwb_spec).result
+            assert observables(served) == observables(rwb_reference())
         stats = service.plans.stats()
     assert stats["recompiled"] == 0
-    assert stats["patched"] == len(steps)
+    assert stats["patched"] == 2 * len(steps)

@@ -10,7 +10,6 @@ sequence fires the same faults at the same invocations, every run.
 from __future__ import annotations
 
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -25,9 +24,7 @@ from repro.faults import (
     InjectedConnectionDrop,
     InjectedEngineTimeout,
     InjectedFault,
-    InjectedPoolBreak,
-    InjectedShardError,
-    InjectedWorkerCrash,
+    InjectedPartitionLoss,
     validate_sites,
 )
 from repro.utils.timing import TimeoutExpired
@@ -39,13 +36,19 @@ from repro.utils.timing import TimeoutExpired
 
 class TestFaultSpec:
     def test_unknown_site_rejected(self):
-        with pytest.raises(FaultPlanError, match="unknown fault site"):
-            FaultSpec(site="no.such.site", kind="slow-call", hits=(1,))
+        # parallel.shard-result named the retired query-sharding engine: an
+        # old plan that still names it must fail loudly, not never fire.
+        for site in ("no.such.site", "parallel.shard-result"):
+            with pytest.raises(FaultPlanError, match="unknown fault site"):
+                FaultSpec(site=site, kind="slow-call", hits=(1,))
+            with pytest.raises(FaultPlanError, match="unknown fault site"):
+                FaultPlan.from_payload({"specs": [
+                    {"site": site, "kind": "slow-call", "hits": [1]}]})
 
     def test_kind_must_match_site(self):
-        # parallel.pool-submit only understands pool-broken.
+        # admission.admit only understands slow-call.
         with pytest.raises(FaultPlanError, match="does not support"):
-            FaultSpec(site="parallel.pool-submit", kind="worker-crash",
+            FaultSpec(site="admission.admit", kind="connection-drop",
                       hits=(1,))
 
     def test_hits_are_sorted_and_deduplicated(self):
@@ -155,23 +158,15 @@ class TestFaultPlan:
 # --------------------------------------------------------------------------- #
 
 class TestInjectedTypes:
-    def test_worker_crash_is_broken_process_pool(self):
-        assert issubclass(InjectedWorkerCrash, BrokenProcessPool)
-        assert issubclass(InjectedPoolBreak, BrokenProcessPool)
-
     def test_engine_timeout_is_timeout_expired(self):
         assert issubclass(InjectedEngineTimeout, TimeoutExpired)
 
     def test_connection_drop_is_connection_error(self):
         assert issubclass(InjectedConnectionDrop, ConnectionError)
 
-    def test_shard_error_is_runtime_error(self):
-        assert issubclass(InjectedShardError, RuntimeError)
-
     def test_all_carry_the_injected_marker(self):
-        for cls in (InjectedWorkerCrash, InjectedPoolBreak,
-                    InjectedShardError, InjectedEngineTimeout,
-                    InjectedConnectionDrop):
+        for cls in (InjectedEngineTimeout, InjectedConnectionDrop,
+                    InjectedPartitionLoss):
             assert issubclass(cls, InjectedFault)
 
 
@@ -257,11 +252,9 @@ class TestInjector:
         assert elapsed >= 0.04
 
     @pytest.mark.parametrize("site,kind,expected", [
-        ("parallel.shard-result", "worker-crash", InjectedWorkerCrash),
-        ("parallel.shard-result", "shard-exception", InjectedShardError),
-        ("parallel.pool-submit", "pool-broken", InjectedPoolBreak),
         ("service.submit", "engine-timeout", InjectedEngineTimeout),
         ("server.reply", "connection-drop", InjectedConnectionDrop),
+        ("cluster.partition-search", "partition-loss", InjectedPartitionLoss),
     ])
     def test_every_raising_kind_fires_its_type(self, site, kind, expected):
         plan = FaultPlan.fixed(FaultSpec(site, kind, hits=(1,)))

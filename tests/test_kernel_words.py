@@ -1,123 +1,29 @@
-"""Word-array mask packing: encoding, tables, pickling, boundaries.
+"""Candidate masks at the 64-bit word width, and network pickling.
 
-Mask dicts cross process boundaries packed into numpy ``uint64`` word
-tables.  This suite pins the encoding itself (bit *i* lives in word
-``i // 64``), the boundary cases the word width introduces (exactly 64
-hosts, 65, multiples of 64, all-zero and all-one words, removals that empty
+Candidate sets are unbounded Python ints over the dense host index.  This
+suite pins the boundary cases a word width would introduce (exactly 64
+hosts, 65, multiples of 64, all-zero and all-one masks, removals that empty
 a trailing word) — where the kernel search must still equal the recursive
-reference engines — and the pickling contract: shipped word tables are
-private copies, never views aliasing the parent's buffers, and kernel plans
-never travel.
+reference engines — and the pickling contract of hosting networks: derived
+per-process caches never travel.
 """
 
 from __future__ import annotations
 
 import pickle
-import random
 
 import pytest
 
 from repro.constraints import ConstraintExpression
-from repro.constraints.vectorizer import HAVE_NUMPY, np
 from repro.api import SearchRequest
 from repro.api.request import Budget
 from repro.core import ECF, RWB, build_filters
-from repro.core import kernel
 from repro.core.reference import ReferenceECF, ReferenceRWB
 from repro.graphs.hosting import HostingNetwork
 from repro.graphs.query import QueryNetwork
 
-if HAVE_NUMPY:
-    from repro.core.words import (WORD_BITS, WordTable, pack_masks,
-                                  unpack_masks, word_count)
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
-                                reason="word arrays require numpy")
-
 WINDOW = ConstraintExpression(
     "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay")
-
-
-# --------------------------------------------------------------------------- #
-# Encoding round-trips
-# --------------------------------------------------------------------------- #
-
-def mask_to_words(mask: int, num_words: int):
-    """One mask as a single packed row."""
-    return pack_masks([mask], num_words)[0]
-
-
-def words_to_mask(row) -> int:
-    """One packed row back to its mask."""
-    return unpack_masks([row])[0]
-
-
-class TestWordEncoding:
-    @pytest.mark.parametrize("num_bits", [1, 63, 64, 65, 128, 130])
-    def test_round_trip_structured(self, num_bits):
-        nw = word_count(num_bits)
-        masks = [
-            0,                           # all-zero words
-            (1 << num_bits) - 1,         # all-one (up to width)
-            1,                           # lowest bit
-            1 << (num_bits - 1),         # highest bit
-        ]
-        if num_bits > WORD_BITS:
-            masks += [1 << 63, 1 << 64, (1 << 64) | 1]  # word-boundary bits
-        for mask in masks:
-            row = mask_to_words(mask, nw)
-            assert row.shape == (nw,)
-            assert row.dtype == np.uint64
-            assert words_to_mask(row) == mask
-
-    def test_round_trip_random(self):
-        rng = random.Random(7)
-        for num_bits in (64, 65, 127, 128, 192, 300):
-            nw = word_count(num_bits)
-            for _ in range(50):
-                mask = rng.getrandbits(num_bits)
-                assert words_to_mask(mask_to_words(mask, nw)) == mask
-
-    def test_bit_position_convention(self):
-        # Bit i lives in word i // 64 at in-word position i % 64 — the
-        # little-endian layout the compiled kernels assume.
-        row = mask_to_words(1 << 70, word_count(128))
-        assert row[0] == 0
-        assert int(row[1]) == 1 << (70 - 64)
-
-    def test_negative_mask_rejected(self):
-        with pytest.raises(OverflowError):
-            mask_to_words(-1, 1)
-
-    def test_too_wide_mask_rejected(self):
-        with pytest.raises(OverflowError):
-            mask_to_words(1 << 64, 1)
-
-    def test_pack_unpack(self):
-        masks = {"a": 0, "b": (1 << 65) | 3, "c": 1 << 64}
-        words = pack_masks(masks.values(), word_count(66))
-        assert words.shape == (3, 2)
-        assert unpack_masks(words) == list(masks.values())
-
-    def test_pack_empty(self):
-        words = pack_masks([], word_count(10))
-        assert words.shape == (0, 1)
-        assert unpack_masks(words) == []
-
-
-class TestWordTable:
-    def test_round_trip_preserves_zero_masks_and_order(self):
-        masks = {("q0", "h1"): 5, ("q1", "h0"): 0, ("q2", "h2"): 1 << 64}
-        table = WordTable.from_masks(masks, num_bits=65)
-        assert table.to_masks() == masks
-        assert list(table.to_masks()) == list(masks)  # insertion order kept
-        assert table.to_masks()[("q1", "h0")] == 0
-
-    def test_pickle_copies_storage(self):
-        table = WordTable.from_masks({"a": 3, "b": 1 << 64}, num_bits=70)
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone.to_masks() == table.to_masks()
-        assert not np.shares_memory(clone.words, table.words)
 
 
 # --------------------------------------------------------------------------- #
@@ -181,94 +87,40 @@ class TestWordBoundaries:
         assert (search_signature(rwb_search(query, hosting, oracle=True))
                 == search_signature(rwb_search(query, hosting)))
 
-    @pytest.mark.parametrize("num_hosts", [64, 65])
-    def test_filter_words_round_trip_at_boundary(self, num_hosts):
-        query, hosting = ring_workload(num_hosts)
-        filters = build_filters(query, hosting, WINDOW, None)
-        num_bits = len(filters.host_indexer)
-        match = WordTable.from_masks(filters.match_masks, num_bits)
-        nodes = WordTable.from_masks(filters.node_candidate_masks, num_bits)
-        assert match.words.shape[1] == word_count(num_hosts)
-        assert match.to_masks() == filters.match_masks
-        assert nodes.to_masks() == filters.node_candidate_masks
-
     def test_all_one_and_all_zero_words(self):
-        # A trivially-true constraint makes every candidate mask all-ones
-        # over a 64-host clique row; an unsatisfiable one makes them zero.
+        # A trivially-true constraint fills the 64-host ring's candidate
+        # masks up to the width; an unsatisfiable one leaves them empty.
         query, hosting = ring_workload(64)
         always = build_filters(query, hosting,
                                ConstraintExpression.always_true(), None)
         full = (1 << 64) - 1
-        assert any(mask == full
-                   for mask in always.node_candidate_masks.values()) or all(
-            words_to_mask(mask_to_words(mask, 1)) == mask
-            for mask in always.node_candidate_masks.values())
+        assert all(mask == full
+                   for mask in always.node_candidate_masks.values())
         never = build_filters(
             query, hosting,
             ConstraintExpression("rEdge.avgDelay >= 1000.0"), None)
         assert all(mask == 0 for mask in never.match_masks.values())
-        # Both extremes survive the word round-trip.
-        for filters in (always, never):
-            table = WordTable.from_masks(filters.match_masks,
-                                         len(filters.host_indexer))
-            assert table.to_masks() == filters.match_masks
 
     def test_node_removal_empties_trailing_word(self):
         # 65 hosts: h64 is alone in the second word.  Remove it and rebuild;
-        # the shrunken table must stay consistent with the kernel search.
+        # the shrunken masks must stay consistent with the kernel search.
         query, hosting = ring_workload(65)
         before = ecf_search(query, hosting)
         assert before.mappings
         hosting.remove_node("h64")
         hosting.add_edge("h63", "h0", avgDelay=10.0)
         filters = build_filters(query, hosting, WINDOW, None)
-        table = WordTable.from_masks(filters.match_masks,
-                                     len(filters.host_indexer))
-        assert table.words.shape[1] == word_count(64)
+        assert all(mask < 1 << 64 for mask in filters.match_masks.values())
         reference = ecf_search(query, hosting, oracle=True)
         fast = ecf_search(query, hosting)
         assert search_signature(reference) == search_signature(fast)
 
 
 # --------------------------------------------------------------------------- #
-# Pickling: no aliasing, no compiled handles
+# Pickling: hosting networks drop their derived caches
 # --------------------------------------------------------------------------- #
 
 class TestPickleHygiene:
-    def test_filters_round_trip(self):
-        query, hosting = ring_workload(65)
-        filters = build_filters(query, hosting, WINDOW, None)
-        clone = pickle.loads(pickle.dumps(filters))
-        assert clone.match_masks == filters.match_masks
-        assert clone.non_match_masks == filters.non_match_masks
-        assert clone.node_candidate_masks == filters.node_candidate_masks
-        assert clone.node_allowed_masks == filters.node_allowed_masks
-
-    def test_filters_pickle_shares_no_memory(self):
-        query, hosting = ring_workload(65)
-        filters = build_filters(query, hosting, WINDOW, None)
-        state = filters.__getstate__()
-        clone_state = pickle.loads(pickle.dumps(state))
-        for name in ("match_masks", "node_candidate_masks"):
-            assert isinstance(state[name], WordTable)
-            assert not np.shares_memory(state[name].words,
-                                        clone_state[name].words)
-        # Packing on the fly leaves the live snapshot's dicts untouched.
-        assert isinstance(filters.match_masks, dict)
-
-    def test_filters_pickle_drops_kernel_plan(self):
-        from repro.core.base import placed_neighbor_plan
-
-        query, hosting = ring_workload(24)
-        filters = build_filters(query, hosting, WINDOW, None)
-        order = sorted(query.nodes(), key=str)
-        plan = kernel.plan_for(filters, order,
-                               placed_neighbor_plan(query, order))
-        assert plan is not None
-        assert getattr(filters, "_kernel_plan", None) is plan
-        clone = pickle.loads(pickle.dumps(filters))
-        assert getattr(clone, "_kernel_plan", None) is None
-
     def test_network_pickle_drops_derived_caches(self):
         query, hosting = ring_workload(24)
         build_filters(query, hosting, WINDOW, None)  # memoises the compile
@@ -291,13 +143,3 @@ class TestPickleHygiene:
             assert getattr(clone, "_test_cache_attr", None) is None
         finally:
             Network._DERIVED_CACHE_ATTRS = original
-
-    def test_prepared_search_round_trip(self):
-        query, hosting = ring_workload(65)
-        request = SearchRequest.build(query, hosting, constraint=WINDOW)
-        plan = ECF().prepare(request)
-        prepared = plan.prepared
-        clone = pickle.loads(pickle.dumps(prepared))
-        assert clone.allowed_masks == prepared.allowed_masks
-        assert clone.adjacency_masks == prepared.adjacency_masks
-        assert clone.order == prepared.order

@@ -84,6 +84,19 @@ class TestSubmitBatch:
         service.submit_batch(specs)
         assert service.executor is pool
 
+    def test_stats_reports_the_batch_pool_only(self, service,
+                                               window_constraint):
+        # The batch thread pool is the service's one execution pool.
+        assert service.stats()["pools"] == {
+            "batch_threads": {"created": False, "max_workers": None}}
+        service.submit_batch([QuerySpec(query=_query("a"),
+                                        constraint=window_constraint,
+                                        algorithm="ECF")])
+        pools = service.stats()["pools"]
+        assert list(pools) == ["batch_threads"]
+        assert pools["batch_threads"]["created"] is True
+        assert pools["batch_threads"]["max_workers"] >= 1
+
     def test_shutdown_clears_the_pool(self, small_hosting, window_constraint):
         service = NetEmbedService()
         service.register_network(small_hosting, name="lab")
